@@ -49,7 +49,7 @@ from .pauli import (
     expm_traceless,
     sin_over_r,
 )
-from .sweep import PhaseGrid, grid_axis, resolve_workers, sweep_grid, threshold_scan
+from .sweep import PhaseGrid, grid_axis, sweep_grid, threshold_scan
 
 __version__ = "0.1.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     "passive_monodromy",
     "passive_shift",
     "quasienergy",
-    "resolve_workers",
     "sin_over_r",
     "static_eigs",
     "stepped_constant",

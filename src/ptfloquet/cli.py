@@ -8,6 +8,7 @@ usage or parameters, 3 internal consistency failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -36,13 +37,19 @@ def render_sweep_csv(grid: PhaseGrid) -> str:
         CSV_COLUMNS,
     ]
     phase_names = [p.value for p in PHASE_BY_CODE]
+    omega_strs = [_fmt(omega) for omega in grid.omega_axis]
     for i, gamma0 in enumerate(grid.gamma_axis):
         g_str = _fmt(gamma0)
-        for j, omega in enumerate(grid.omega_axis):
-            lines.append(
-                f"{g_str},{_fmt(omega)},{_fmt(grid.c_values[i, j])},"
-                f"{phase_names[grid.classes[i, j]]},{_fmt(grid.trace_half[i, j])}"
-            )
+        row = zip(
+            omega_strs,
+            grid.c_values[i].tolist(),
+            grid.classes[i].tolist(),
+            grid.trace_half[i].tolist(),
+        )
+        lines.extend(
+            f"{g_str},{o_str},{c!r},{phase_names[code]},{h!r}"
+            for o_str, c, code, h in row
+        )
     lines.append("")
     return "\n".join(lines)
 
@@ -149,6 +156,12 @@ def cmd_boundary(args) -> int:
 def _gamma_samples(args):
     """gamma0 values for the large-gamma curve kinds: an inclusive range when
     --gamma-min is given, else (J, gamma-max] left-open."""
+    for flag, value in (
+        ("--gamma-max", args.gamma_max),
+        ("--gamma-min", args.gamma_min),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.gamma_max <= args.J:
         raise ValueError("--gamma-max must exceed J")
     if args.gamma_min is not None:

@@ -1,12 +1,13 @@
 """One-period propagator, quasienergies and PT-phase classification.
 
 The drive is piecewise constant, so the one-period propagator is a product
-of two closed-form exponentials.  Everything here is a pure function of the
-drive parameters; the grid sweep engine calls the same scalar kernel, cell
-by cell, from multiple processes.  Where the double-precision half trace
-lies within its rounding-noise bound of +-1, the kernel replaces it by the
-extended-precision value from the precise module, so every verdict rests
-on a resolved trace.
+of two closed-form exponentials, each with a real diagonal and an imaginary
+off-diagonal; the kernel carries their real numbers, and the half trace is
+real.  Everything here is a pure function of the drive parameters; the grid
+sweep engine calls the same scalar kernel cell by cell.  Where the
+double-precision half trace lies within its rounding-noise bound of +-1,
+the kernel replaces it by the extended-precision value from the precise
+module, so every verdict rests on a resolved trace.
 """
 
 import cmath
@@ -49,33 +50,55 @@ class FloquetResult:
     half_trace: float
 
 
-def _half_step_entries(J, gamma, tau):
-    """Entries (m00, m01, m11) of the half-period propagator
-    exp(-i tau (-J sx + i gamma sz)); the off-diagonal is symmetric."""
+def _half_step(J, gamma, tau):
+    """Real numbers (m00, m01, m11) of the half-period propagator
+    exp(-i tau (-J sx + i gamma sz)) = [[c + gamma s, i J s], [i J s, c - gamma s]].
+
+    c = cos(r tau) and s = sin(r tau)/r, with r = sqrt(J^2 - gamma^2), are
+    real and even in r, so above the exceptional point, where r = i q,
+    they are cosh(q tau) and sinh(q tau)/q.
+    """
     rr = J * J - gamma * gamma
-    r = math.sqrt(rr) if rr >= 0.0 else 1j * math.sqrt(-rr)
-    x = r * tau
-    if abs(x) < SERIES_CUTOFF:
-        x2 = x * x
-        s = tau * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)
+    k = math.sqrt(abs(rr))
+    x = k * tau
+    if rr >= 0.0:
+        cos, sin, x2 = math.cos, math.sin, -x * x
     else:
-        s = cmath.sin(x) / r
-    c = cmath.cos(x)
-    g = gamma * s
-    return (c + g, 1j * J * s, c - g)
+        cos, sin, x2 = math.cosh, math.sinh, x * x
+    if x < SERIES_CUTOFF:
+        s = tau * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
+    else:
+        s = sin(x) / k
+    c = cos(x)
+    return c + gamma * s, J * s, c - gamma * s
 
 
 def _monodromy_entries(J, gamma0, mu, omega):
-    """Entries of G(T) = G_minus(tau) G_plus(tau); the gamma0 half acts first."""
+    """Real numbers (m00, m01, m10, m11) of G(T) = [[m00, i m01], [i m10, m11]]
+    = G_minus(tau) G_plus(tau); the gamma0 half acts first."""
     tau = math.pi / omega
-    a00, a01, a11 = _half_step_entries(J, gamma0, tau)
-    b00, b01, b11 = _half_step_entries(J, mu * gamma0, tau)
+    a00, a01, a11 = _half_step(J, gamma0, tau)
+    b00, b01, b11 = _half_step(J, mu * gamma0, tau)
     return (
-        b00 * a00 + b01 * a01,
+        b00 * a00 - b01 * a01,
         b00 * a01 + b01 * a11,
         b01 * a00 + b11 * a01,
-        b01 * a01 + b11 * a11,
+        b11 * a11 - b01 * a01,
     )
+
+
+def _amp_rate_from_half_trace(half_trace):
+    """(|g+| - |g-|)/(|g+| + |g-|) for the eigenvalue pair of a unit-determinant
+    matrix with the given real half trace h: exactly 0 for |h| <= 1, where both
+    are unimodular; otherwise |g+| = B = |h| + sqrt(h^2 - 1) and |g-| = 1/B,
+    kept below 1 where the ratio rounds up or B overflows."""
+    h = abs(half_trace)
+    if h <= 1.0:
+        return 0.0
+    big = h + math.sqrt(h * h - 1.0)
+    if math.isinf(big):
+        return _ONE_MINUS_ULP
+    return min((big - 1.0 / big) / (big + 1.0 / big), _ONE_MINUS_ULP)
 
 
 def _amp_rate(mod_plus, mod_minus):
@@ -136,31 +159,33 @@ def trace_noise(J, gamma0, mu, omega) -> float:
 
 
 def _evaluate(J, gamma0, mu, omega, tol):
-    """Scalar kernel shared by classify and the sweep engine.
+    """Scalar kernel shared by classify and the sweep engine: the real
+    monodromy numbers, the half trace h, the amplification rate c and the
+    phase code.
 
-    The eigenvalue pair uses the structural determinant 1 (exact for this
-    product of unit-determinant factors) instead of re-deriving it from the
-    entries, whose cancellation noise grows like the squared entry scale
-    and would scramble strongly amplifying cells.  A half trace within
-    trace_noise of +-1 is re-evaluated in extended precision first; where
-    the bound itself overflows, the double-precision value stands.
+    c follows from h alone, because the determinant is structurally 1
+    (exact for this product of unit-determinant factors); the entries'
+    own cancellation noise, which grows like the squared entry scale and
+    would scramble strongly amplifying cells, never enters.  A half trace
+    within trace_noise of +-1 is re-evaluated in extended precision first;
+    where the bound itself overflows, the double-precision value stands.
     """
-    m00, m01, m10, m11 = _monodromy_entries(J, gamma0, mu, omega)
-    half_trace = 0.5 * (m00 + m11)
+    entries = _monodromy_entries(J, gamma0, mu, omega)
+    half_trace = 0.5 * (entries[0] + entries[3])
     noise = trace_noise(J, gamma0, mu, omega)
     if abs(abs(half_trace) - 1.0) <= noise < math.inf:
-        amplification = noise / _UNIT_ROUNDOFF
-        half_trace = complex(precise.half_trace(J, gamma0, mu, omega, amplification))
-    g_plus, g_minus = quadratic_roots(half_trace, 1.0 + 0j)
-    c = _amp_rate(abs(g_plus), abs(g_minus))
-    code = _phase_code(c, half_trace, tol)
-    return m00, m01, m10, m11, g_plus, g_minus, half_trace, c, code
+        half_trace = precise.half_trace(J, gamma0, mu, omega, noise / _UNIT_ROUNDOFF)
+    c = _amp_rate_from_half_trace(half_trace)
+    return entries, half_trace, c, _phase_code(c, half_trace, tol)
+
+
+def _matrix(m00, m01, m10, m11):
+    return np.array([[m00, complex(0.0, m01)], [complex(0.0, m10), m11]])
 
 
 def monodromy(spec: DrivingSpec) -> np.ndarray:
     """One-period propagator of the two-step drive (unit determinant)."""
-    m00, m01, m10, m11 = _monodromy_entries(spec.J, spec.gamma0, spec.mu, spec.omega)
-    return np.array([[m00, m01], [m10, m11]])
+    return _matrix(*_monodromy_entries(spec.J, spec.gamma0, spec.mu, spec.omega))
 
 
 def passive_monodromy(spec: DrivingSpec) -> np.ndarray:
@@ -222,16 +247,16 @@ def classify(spec: DrivingSpec, tol: float = DEFAULT_TOL) -> FloquetResult:
     """
     if not tol > 0:
         raise ValueError(f"classification tolerance must be positive, got {tol}")
-    m00, m01, m10, m11, g_plus, g_minus, half_trace, c, code = _evaluate(
+    entries, half_trace, c, code = _evaluate(
         spec.J, spec.gamma0, spec.mu, spec.omega, tol
     )
-    eps_f = _quasienergy_from_half_trace(half_trace, spec.tau)
+    g_plus, g_minus = quadratic_roots(complex(half_trace), 1.0 + 0j)
     return FloquetResult(
-        monodromy=np.array([[m00, m01], [m10, m11]]),
+        monodromy=_matrix(*entries),
         g_plus=g_plus,
         g_minus=g_minus,
-        eps_f=eps_f,
+        eps_f=_quasienergy_from_half_trace(complex(half_trace), spec.tau),
         c=c,
         phase=PHASE_BY_CODE[code],
-        half_trace=half_trace.real,
+        half_trace=half_trace,
     )

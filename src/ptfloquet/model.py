@@ -39,6 +39,10 @@ class DrivingSpec:
     J: float = 1.0
 
     def __post_init__(self):
+        for name in ("gamma0", "omega", "J"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.J > 0:
             raise ValueError(f"coupling J must be positive, got {self.J}")
         if not self.gamma0 >= 0:

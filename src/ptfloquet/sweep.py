@@ -1,13 +1,9 @@
 """Dense phase-diagram sweeps over (gamma0, omega) and 1-D threshold scans.
 
-Cells are independent tasks: each worker fills pre-assigned rows of the
-output arrays with results from the same scalar kernel that classify uses,
-so the grid is bit-identical for any worker count, including the serial
-debugging path (workers=1).
+Every cell comes from the same scalar kernel that classify uses, so a
+grid cell and a classify call on the same drive agree bit for bit.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +11,6 @@ import numpy as np
 from .errors import BracketError
 from .floquet import BROKEN_CODE, DEFAULT_TOL, PHASE_BY_CODE, _evaluate
 from .model import DrivingSpec, PhaseClass
-
-THREADS_ENV_VAR = "PT_FLOQUET_THREADS"
 
 
 @dataclass(frozen=True)
@@ -54,32 +48,10 @@ def grid_axis(lo, hi, count) -> np.ndarray:
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker count: explicit argument, else PT_FLOQUET_THREADS, else one
-    per CPU (0 or unset means auto)."""
-    if workers is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        workers = int(raw) if raw else 0
-        if workers == 0:
-            workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
-def _sweep_rows(args):
-    """Evaluate a block of gamma rows; returns arrays for pre-assigned slots."""
-    J, mu, tol, gamma_block, omega_values = args
-    n_rows, n_cols = len(gamma_block), len(omega_values)
-    c_block = np.empty((n_rows, n_cols))
-    code_block = np.empty((n_rows, n_cols), dtype=np.int8)
-    trace_block = np.empty((n_rows, n_cols))
-    for i, gamma0 in enumerate(gamma_block):
-        for j, omega in enumerate(omega_values):
-            *_, half_trace, c, code = _evaluate(J, gamma0, mu, omega, tol)
-            c_block[i, j] = c
-            code_block[i, j] = code
-            trace_block[i, j] = half_trace.real
-    return c_block, code_block, trace_block
+    """Always 1: sweeps run in this process.  Kept, with sweep_grid's
+    ignored workers keyword, only because the benchmark's per-layer report
+    (bench/layers.py) still calls both."""
+    return 1
 
 
 def sweep_grid(
@@ -93,8 +65,8 @@ def sweep_grid(
     """Classify every node of a (gamma0, omega) grid.
 
     gamma_range and omega_range are (lo, hi, count) with count >= 2; the
-    omega range must be strictly positive.  Output is independent of the
-    evaluation order and of the degree of parallelism.
+    omega range must be strictly positive.  workers is ignored (see
+    resolve_workers).
     """
     g_lo, g_hi, g_count = gamma_range
     o_lo, o_hi, o_count = omega_range
@@ -110,27 +82,14 @@ def sweep_grid(
 
     gamma_axis = grid_axis(g_lo, g_hi, g_count)
     omega_axis = grid_axis(o_lo, o_hi, o_count)
-    omega_values = [float(v) for v in omega_axis]
+    omega_values = omega_axis.tolist()
 
     c_values = np.empty((g_count, o_count))
     classes = np.empty((g_count, o_count), dtype=np.int8)
     trace_half = np.empty((g_count, o_count))
-
-    n_workers = min(resolve_workers(workers), g_count)
-    blocks = _row_blocks(g_count, n_workers)
-    tasks = [
-        (J, mu, tol, [float(v) for v in gamma_axis[lo:hi]], omega_values)
-        for lo, hi in blocks
-    ]
-    if n_workers == 1:
-        results = [_sweep_rows(tasks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_sweep_rows, tasks))
-    for (lo, hi), (c_block, code_block, trace_block) in zip(blocks, results):
-        c_values[lo:hi] = c_block
-        classes[lo:hi] = code_block
-        trace_half[lo:hi] = trace_block
+    for i, gamma0 in enumerate(gamma_axis.tolist()):
+        cells = [_evaluate(J, gamma0, mu, omega, tol)[1:] for omega in omega_values]
+        trace_half[i], c_values[i], classes[i] = zip(*cells)
 
     return PhaseGrid(
         gamma_axis=gamma_axis,
@@ -142,18 +101,6 @@ def sweep_grid(
         classes=classes,
         trace_half=trace_half,
     )
-
-
-def _row_blocks(n_rows, n_workers):
-    """Contiguous row blocks, as even as possible, covering range(n_rows)."""
-    base, extra = divmod(n_rows, n_workers)
-    blocks = []
-    start = 0
-    for k in range(n_workers):
-        stop = start + base + (1 if k < extra else 0)
-        blocks.append((start, stop))
-        start = stop
-    return blocks
 
 
 def threshold_scan(
@@ -168,7 +115,8 @@ def threshold_scan(
 
     gamma_hint = (lo, hi) must straddle the transition monotonically:
     lo classifies away from Broken and hi classifies Broken.  Returns the
-    bracket midpoint once its width is <= tol.
+    bracket midpoint once its width is <= tol, or once lo and hi are
+    adjacent floats, so a tol below their spacing still ends the search.
     """
     lo, hi = gamma_hint
     if not (0.0 <= lo < hi):
@@ -181,6 +129,8 @@ def threshold_scan(
         raise BracketError(f"upper bracket gamma0={hi} does not classify Broken")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _is_broken(J, mid, mu, omega, classify_tol):
             hi = mid
         else:

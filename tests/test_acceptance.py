@@ -231,9 +231,11 @@ def test_criterion_8_invariant_suite():
 
     for spec in random_specs(rng, 1_000, max_growth=600.0):
         m = monodromy(spec)
-        scale2 = matrix_scale(m) ** 2
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det - 1.0) > 1e-12 * scale2:
+        # det(m/s) = 1/s^2 within 1e-12, so that s^2 cannot overflow
+        s = matrix_scale(m)
+        unit = m / s
+        det = unit[0, 0] * unit[1, 1] - unit[0, 1] * unit[1, 0]
+        if not abs(det - 1.0 / s / s) <= 1e-12:
             failures.append(f"det: {spec}")
         trace = m[0, 0] + m[1, 1]
         if abs(trace.imag) > 1e-12 * max(1.0, abs(trace.real)):
@@ -353,7 +355,7 @@ def _review_panel_structure(grids):
 
 
 def _mini_golden_grid():
-    return sweep_grid(-1.0, 1.0, (0.0, 4.0, 20), (0.1, 6.0, 20), workers=1)
+    return sweep_grid(-1.0, 1.0, (0.0, 4.0, 20), (0.1, 6.0, 20))
 
 
 def _figure_grids():

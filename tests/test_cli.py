@@ -76,12 +76,23 @@ def test_classify_hermitian_point(capsys):
 
 
 def test_classify_invalid_parameters_exit_2(capsys):
-    code, out, err = run_cli(
-        capsys, "classify", "--gamma0", "-1", "--mu", "0", "--omega", "1"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.strip() != "" and "\n" not in err.strip()
+    base = {"--gamma0": "0.5", "--mu": "0", "--omega": "1"}
+    for flag, value in [
+        ("--gamma0", "-1"),
+        ("--gamma0", "inf"),
+        ("--omega", "inf"),
+        ("--J", "inf"),
+    ]:
+        argv = ["classify"]
+        for key, default in {**base, flag: value}.items():
+            argv += [key, default]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, (flag, value)
+        assert out == ""
+        assert err.strip() != "" and "\n" not in err.strip()
+        assert "Traceback" not in err
+        if value == "inf":
+            assert flag.lstrip("-") in err
 
 
 def test_sweep_csv_format_and_round_trip(tmp_path, capsys):
@@ -151,7 +162,7 @@ def test_ppm_bytes_are_exactly_header_plus_payload(tmp_path, capsys):
 
 
 def test_ppm_pixel_mapping():
-    grid = sweep_grid(1.0, 1.0, (0.0, 2.0, 5), (1.0, 2.0, 4), workers=1)
+    grid = sweep_grid(1.0, 1.0, (0.0, 2.0, 5), (1.0, 2.0, 4))
     blob = render_ppm(grid)
     header_len = len(b"P6\n4 5\n255\n")
     pixels = np.frombuffer(blob[header_len:], dtype=np.uint8).reshape(5, 4, 3)
@@ -209,10 +220,21 @@ def test_boundary_rejects_bad_indices(capsys):
     assert run_cli(capsys, "boundary", "--kind", "unbroken-ellipse", "--n", "0")[0] == 2
     assert run_cli(capsys, "boundary", "--kind", "broken-ellipse", "--n", "0")[0] == 2
     assert run_cli(capsys, "boundary", "--kind", "unbroken-ellipse")[0] == 2
+    for kind, extra, flag in [
+        ("asymptotic", [], "--gamma-max"),
+        ("mu0-sliver", ["--n", "1"], "--gamma-max"),
+        ("asymptotic", [], "--gamma-min"),
+    ]:
+        code, out, err = run_cli(
+            capsys, "boundary", "--kind", kind, *extra, flag, "inf", "--samples", "2"
+        )
+        assert code == 2 and out == ""
+        assert flag in err and "\n" not in err.strip()
+        assert "Traceback" not in err
 
 
 def test_csv_floats_round_trip_shortest_repr():
-    grid = sweep_grid(0.0, 1.0, (0.0, 1.0, 3), (0.7, 2.1, 3), workers=1)
+    grid = sweep_grid(0.0, 1.0, (0.0, 1.0, 3), (0.7, 2.1, 3))
     text = render_sweep_csv(grid)
     for line in text.splitlines()[2:]:
         if not line:

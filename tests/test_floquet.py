@@ -136,6 +136,11 @@ def test_classify_examples():
     assert classify(DrivingSpec(0.5, 1.0, 3.0)).phase is PhaseClass.UNBROKEN
     assert classify(DrivingSpec(1.5, 1.0, 3.0)).phase is PhaseClass.BROKEN
     assert classify(DrivingSpec(0.05, -1.0, 2.0)).phase is PhaseClass.BROKEN
+    # |h| < 1: c is exactly 0, not the rounding noise (5.6e-17) of an
+    # eigenvalue pair on the unit circle
+    r = classify(DrivingSpec(0.0, -1.0, 4.136842105263158))
+    assert r.phase is PhaseClass.UNBROKEN and abs(r.half_trace) < 1.0
+    assert r.c == 0.0
 
 
 def test_classify_rejects_bad_tolerance():
@@ -157,6 +162,20 @@ def test_classify_result_invariants():
         if r.phase is PhaseClass.UNBROKEN:
             assert r.c <= 1e-9
             assert abs(abs(r.g_plus) - 1.0) <= 1e-9
+
+
+def test_rate_saturates_where_the_half_trace_squared_overflows():
+    # |h| ~ 7.8e209, so h*h overflows; c must stay 1 - ulp, not NaN
+    one_minus_ulp = math.nextafter(1.0, 0.0)
+    spec = DrivingSpec(gamma0=4.0, mu=-1.0, omega=0.05)
+    r = classify(spec)
+    assert 1e209 < abs(r.half_trace) < 1e210
+    assert r.c == one_minus_ulp
+    assert r.phase is PhaseClass.BROKEN
+    grid = sweep_grid(-1.0, 1.0, (4.0, 5.0, 2), (0.05, 0.06, 2))
+    assert grid.trace_half[0, 0] == r.half_trace
+    assert grid.c_values[0, 0] == one_minus_ulp
+    assert grid.phase_at(0, 0) is PhaseClass.BROKEN
 
 
 def test_classify_exceptional_band():
@@ -279,7 +298,7 @@ def test_sliver_verdict_rests_on_the_exact_trace():
     assert result.phase is PhaseClass.UNBROKEN
     assert result.half_trace == pytest.approx(-0.8453354768051626, rel=1e-15)
     # the sweep kernel gives the same verdict for the same cell
-    grid = sweep_grid(0.0, 1.0, (5.0, 6.0, 2), (omega, omega + 1.0, 2), workers=1)
+    grid = sweep_grid(0.0, 1.0, (5.0, 6.0, 2), (omega, omega + 1.0, 2))
     assert grid.gamma_axis[0] == 5.0 and grid.omega_axis[0] == omega
     assert grid.phase_at(0, 0) is PhaseClass.UNBROKEN
     assert grid.trace_half[0, 0] == result.half_trace

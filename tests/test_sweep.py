@@ -37,7 +37,7 @@ def test_sweep_validation():
 
 
 def test_sweep_matches_pointwise_classify():
-    grid = sweep_grid(-0.4, 1.0, (0.0, 2.0, 9), (0.4, 3.0, 11), workers=1)
+    grid = sweep_grid(-0.4, 1.0, (0.0, 2.0, 9), (0.4, 3.0, 11))
     for i, gamma0 in enumerate(grid.gamma_axis):
         for j, omega in enumerate(grid.omega_axis):
             r = classify(DrivingSpec(float(gamma0), -0.4, float(omega)))
@@ -45,37 +45,12 @@ def test_sweep_matches_pointwise_classify():
             assert grid.phase_at(i, j) is r.phase
 
 
-def test_sweep_deterministic_across_worker_counts():
-    ranges = ((0.0, 3.0, 40), (0.3, 5.0, 37))
-    serial = sweep_grid(-0.7, 1.0, *ranges, workers=1)
-    parallel = sweep_grid(-0.7, 1.0, *ranges, workers=2)
-    uneven = sweep_grid(-0.7, 1.0, *ranges, workers=3)
-    for other in (parallel, uneven):
-        np.testing.assert_array_equal(serial.c_values, other.c_values)
-        np.testing.assert_array_equal(serial.classes, other.classes)
-        np.testing.assert_array_equal(serial.trace_half, other.trace_half)
-
-
-def test_workers_env_cap(monkeypatch):
-    from ptfloquet.sweep import resolve_workers
-
-    monkeypatch.delenv("PT_FLOQUET_THREADS", raising=False)
-    assert resolve_workers(None) >= 1
-    monkeypatch.setenv("PT_FLOQUET_THREADS", "3")
-    assert resolve_workers(None) == 3
-    monkeypatch.setenv("PT_FLOQUET_THREADS", "0")
-    assert resolve_workers(None) >= 1
-    assert resolve_workers(5) == 5
-    with pytest.raises(ValueError):
-        resolve_workers(-2)
-
-
 def test_static_drive_classes_are_frequency_independent():
     # grid row gamma0 = 1.0 sits exactly on the exceptional point, where the
     # label is Unbroken or Exceptional depending on the rounding sign of
     # tr^2 - 1; everywhere else the full label is omega-independent, and the
     # broken/non-broken distinction is omega-independent on every row
-    grid = sweep_grid(1.0, 1.0, (0.0, 2.0, 21), (0.3, 8.0, 13), workers=1)
+    grid = sweep_grid(1.0, 1.0, (0.0, 2.0, 21), (0.3, 8.0, 13))
     broken = grid.classes == BROKEN_CODE
     for j in range(grid.classes.shape[1]):
         np.testing.assert_array_equal(broken[:, j], broken[:, 0])
@@ -94,7 +69,7 @@ def test_static_drive_classes_are_frequency_independent():
 
 
 def test_reversal_drive_resonance_column_is_broken():
-    grid = sweep_grid(-1.0, 1.0, (0.01, 0.99, 25), (2.0, 2.5, 6), workers=1)
+    grid = sweep_grid(-1.0, 1.0, (0.01, 0.99, 25), (2.0, 2.5, 6))
     assert grid.omega_axis[0] == 2.0
     assert np.all(grid.classes[:, 0] == BROKEN_CODE)
 
@@ -106,24 +81,33 @@ def test_reversal_drive_unbroken_region_stays_below_threshold():
 
 
 def test_refined_grid_keeps_coarse_node_results():
-    coarse = sweep_grid(0.5, 1.0, (0.0, 2.0, 11), (0.4, 3.0, 9), workers=1)
-    fine = sweep_grid(0.5, 1.0, (0.0, 2.0, 21), (0.4, 3.0, 17), workers=1)
+    coarse = sweep_grid(0.5, 1.0, (0.0, 2.0, 11), (0.4, 3.0, 9))
+    fine = sweep_grid(0.5, 1.0, (0.0, 2.0, 21), (0.4, 3.0, 17))
     np.testing.assert_array_equal(coarse.c_values, fine.c_values[::2, ::2])
     np.testing.assert_array_equal(coarse.classes, fine.classes[::2, ::2])
 
 
 def test_phase_grid_cell_invariants():
-    grid = sweep_grid(-0.7, 1.0, (0.0, 3.0, 30), (0.2, 4.0, 30), workers=1)
+    grid = sweep_grid(-0.7, 1.0, (0.0, 3.0, 30), (0.2, 4.0, 30))
     assert grid.c_values.shape == (30, 30) == grid.classes.shape
     assert np.all(grid.c_values >= 0.0) and np.all(grid.c_values < 1.0)
     unbroken = grid.classes == UNBROKEN_CODE
     np.testing.assert_array_equal(unbroken, grid.c_values <= grid.tol)
+    # c comes from the half trace alone: exactly 0 wherever |h| <= 1, with
+    # no rounding noise from an eigenvalue pair on the unit circle
+    inside = np.abs(grid.trace_half) <= 1.0
+    assert inside.any()
+    assert np.all(grid.c_values[inside] == 0.0)
+    np.testing.assert_array_equal(grid.c_values[unbroken], 0.0)
 
 
 def test_threshold_scan_static_case():
     for omega in (0.5, 2.0, 10.0):
         gamma_c = threshold_scan(1.0, 1.0, omega, (0.5, 1.5), tol=1e-8)
         assert abs(gamma_c - 1.0) <= 1e-6
+    # a tol below the float spacing of the bracket ends at adjacent floats
+    gamma_c = threshold_scan(1.0, 1.0, 2.0, (0.5, 1.5), tol=1e-17)
+    assert 0.5 < gamma_c < 1.5 and abs(gamma_c - 1.0) <= 1e-6
 
 
 def test_threshold_scan_high_frequency_cases():
