@@ -106,6 +106,11 @@ def cmd_classify(args) -> int:
     if args.passive:
         g_passive, _ = eigenvalues2(passive_monodromy(spec))
         doc["spectral_radius"] = abs(g_passive)
+    # JSON has no infinity: a value beyond double range is written as null
+    doc = {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in doc.items()
+    }
     print(json.dumps(doc))
     return 0
 

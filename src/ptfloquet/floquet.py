@@ -3,11 +3,17 @@
 The drive is piecewise constant, so the one-period propagator is a product
 of two closed-form exponentials, each with a real diagonal and an imaginary
 off-diagonal; the kernel carries their real numbers, and the half trace is
-real.  Everything here is a pure function of the drive parameters; the grid
-sweep engine calls the same scalar kernel cell by cell.  Where the
-double-precision half trace lies within its rounding-noise bound of +-1,
-the kernel replaces it by the extended-precision value from the precise
-module, so every verdict rests on a resolved trace.
+real.  Everything here is a pure function of the drive parameters.
+
+The kernel comes in two forms that do the same arithmetic: _evaluate for
+one drive (classify, threshold scans) and _evaluate_row for one gamma0 row
+of a grid (the sweep engine), with numpy for the correctly rounded
+operations and math for every transcendental, element by element.  They
+agree bit for bit (test_sweep_matches_pointwise_classify pins this).
+Where the double-precision half trace lies within its rounding-noise bound
+of +-1, both replace it by the extended-precision value from the precise
+module, so every verdict rests on a resolved trace.  A half trace beyond
+double range is +-inf; one that comes out NaN raises ValueError.
 """
 
 import cmath
@@ -159,9 +165,9 @@ def trace_noise(J, gamma0, mu, omega) -> float:
 
 
 def _evaluate(J, gamma0, mu, omega, tol):
-    """Scalar kernel shared by classify and the sweep engine: the real
-    monodromy numbers, the half trace h, the amplification rate c and the
-    phase code.
+    """Scalar kernel of classify and threshold_scan: the real monodromy
+    numbers, the half trace h, the amplification rate c and the phase code.
+    _evaluate_row does the same arithmetic for a grid row.
 
     c follows from h alone, because the determinant is structurally 1
     (exact for this product of unit-determinant factors); the entries'
@@ -169,14 +175,103 @@ def _evaluate(J, gamma0, mu, omega, tol):
     would scramble strongly amplifying cells, never enters.  A half trace
     within trace_noise of +-1 is re-evaluated in extended precision first;
     where the bound itself overflows, the double-precision value stands.
+    A NaN half trace (entries beyond double range) raises ValueError.
     """
     entries = _monodromy_entries(J, gamma0, mu, omega)
     half_trace = 0.5 * (entries[0] + entries[3])
+    if math.isnan(half_trace):
+        raise _nan_error(J, gamma0, mu, omega)
     noise = trace_noise(J, gamma0, mu, omega)
     if abs(abs(half_trace) - 1.0) <= noise < math.inf:
         half_trace = precise.half_trace(J, gamma0, mu, omega, noise / _UNIT_ROUNDOFF)
     c = _amp_rate_from_half_trace(half_trace)
     return entries, half_trace, c, _phase_code(c, half_trace, tol)
+
+
+def _nan_error(J, gamma0, mu, omega):
+    return ValueError(
+        f"half trace is NaN at gamma0={gamma0!r}, mu={mu!r}, omega={omega!r}, "
+        f"J={J!r}: the monodromy entries exceed double range"
+    )
+
+
+def _math_map(fn, x):
+    """fn from math, element by element: numpy's own transcendentals round
+    differently from math's on some arguments."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _half_step_row(J, gamma, tau):
+    """_half_step over an array of tau, with the same arithmetic."""
+    rr = J * J - gamma * gamma
+    k = math.sqrt(abs(rr))
+    x = k * tau
+    if rr >= 0.0:
+        cos, sin, x2 = math.cos, math.sin, -x * x
+    else:
+        cos, sin, x2 = math.cosh, math.sinh, x * x
+    s = tau * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
+    direct = ~(x < SERIES_CUTOFF)
+    s[direct] = _math_map(sin, x[direct]) / k
+    c = _math_map(cos, x)
+    return c + gamma * s, J * s, c - gamma * s
+
+
+def _trace_noise_row(J, gamma0, mu, tau):
+    """trace_noise over an array of tau, with the same arithmetic."""
+    growth, poly, amp = np.zeros_like(tau), 1.0, 1.0
+    for gamma in (gamma0, abs(mu) * gamma0):
+        rr = abs(J * J - gamma * gamma)
+        if gamma > J:
+            growth += math.sqrt(rr) * tau
+        poly *= 1.0 + (gamma + J) * tau
+        inv_rr = 1.0 / rr if rr else 0.0  # never chosen at rr == 0
+        amp += (J * J + gamma * gamma) * np.where(
+            rr * tau * tau > 1.0, inv_rr, tau * tau
+        )
+    noise = np.full_like(tau, math.inf)
+    bounded = ~(growth > 700.0)
+    noise[bounded] = (
+        16.0 * _UNIT_ROUNDOFF * _math_map(math.exp, growth[bounded])
+        * poly[bounded] * amp[bounded]
+    )
+    return noise
+
+
+def _evaluate_row(J, gamma0, mu, omega_axis, tol):
+    """_evaluate for one gamma0 over a float64 array of omega, as arrays
+    (half_trace, c, code); each cell is bit-identical to _evaluate's."""
+    tau = math.pi / omega_axis
+    with np.errstate(all="ignore"):  # overflow to inf is expected, as in floats
+        a00, a01, a11 = _half_step_row(J, gamma0, tau)
+        b00, b01, b11 = _half_step_row(J, mu * gamma0, tau)
+        half_trace = 0.5 * ((b00 * a00 - b01 * a01) + (b11 * a11 - b01 * a01))
+        nan = np.isnan(half_trace)
+        if nan.any():
+            raise _nan_error(J, gamma0, mu, float(omega_axis[nan.argmax()]))
+        noise = _trace_noise_row(J, gamma0, mu, tau)
+        flagged = (np.abs(np.abs(half_trace) - 1.0) <= noise) & (noise < math.inf)
+        for j in np.flatnonzero(flagged).tolist():
+            half_trace[j] = precise.half_trace(
+                J, gamma0, mu, float(omega_axis[j]), float(noise[j]) / _UNIT_ROUNDOFF
+            )
+        h = np.abs(half_trace)
+        big = h + np.sqrt(h * h - 1.0)
+        c = np.where(
+            h <= 1.0,
+            0.0,
+            np.where(
+                np.isinf(big),
+                _ONE_MINUS_ULP,
+                np.minimum((big - 1.0 / big) / (big + 1.0 / big), _ONE_MINUS_ULP),
+            ),
+        )
+    code = np.where(
+        c <= tol,
+        UNBROKEN_CODE,
+        np.where(np.abs(h - 1.0) <= tol, EXCEPTIONAL_CODE, BROKEN_CODE),
+    )
+    return half_trace, c, code
 
 
 def _matrix(m00, m01, m10, m11):
@@ -214,10 +309,13 @@ def quasienergy(m, tau) -> complex:
 
 
 def _quasienergy_from_half_trace(half_trace, tau):
+    omega = math.pi / tau
+    if math.isinf(half_trace.real) and half_trace.imag == 0.0:
+        # beyond double range: cos(2 eps tau) = +-inf has Re(2 eps tau) = 0 or pi
+        return complex(0.0 if half_trace.real > 0.0 else omega / 2.0, math.inf)
     eps = cmath.acos(half_trace) / (2.0 * tau)
     if eps.imag < 0.0:
         eps = -eps
-    omega = math.pi / tau
     re = eps.real - omega * math.floor(eps.real / omega)
     if re > omega / 2.0 and eps.imag == 0.0:
         # reflecting a strictly complex eps would flip its imaginary part,
@@ -243,14 +341,18 @@ def classify(spec: DrivingSpec, tol: float = DEFAULT_TOL) -> FloquetResult:
     """Monodromy, eigenvalues, quasienergy, amplification rate and phase.
 
     Unbroken when c <= tol; otherwise Exceptional if |tr/2| sits within tol
-    of 1 (the boundary set), else Broken.
+    of 1 (the boundary set), else Broken.  Where the half trace h is beyond
+    double range (+-inf), g_plus = h, g_minus = 1/h and Im eps_f = inf.
     """
     if not tol > 0:
         raise ValueError(f"classification tolerance must be positive, got {tol}")
     entries, half_trace, c, code = _evaluate(
         spec.J, spec.gamma0, spec.mu, spec.omega, tol
     )
-    g_plus, g_minus = quadratic_roots(complex(half_trace), 1.0 + 0j)
+    if math.isinf(half_trace):
+        g_plus, g_minus = complex(half_trace), complex(1.0 / half_trace)
+    else:
+        g_plus, g_minus = quadratic_roots(complex(half_trace), 1.0 + 0j)
     return FloquetResult(
         monodromy=_matrix(*entries),
         g_plus=g_plus,

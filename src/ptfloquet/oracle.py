@@ -7,6 +7,7 @@ validation tools only and never feed the sweep engine.
 
 import numpy as np
 
+from .errors import ConsistencyError
 from .model import DrivingSpec
 from .pauli import expm_traceless
 
@@ -17,22 +18,28 @@ def stepped_propagator(spec: DrivingSpec, steps_per_half: int) -> np.ndarray:
     Sub-intervals never straddle the switch at half period, so the drive is
     constant within each one and the product equals the monodromy up to
     accumulated rounding for any steps_per_half.
+
+    Each sub-step exp(-i dt (-J sx + i gamma sz)) has a real diagonal and an
+    imaginary off-diagonal, and so has every product of them; the loop
+    carries the four real numbers of the product [[A, iB], [iC, D]].  The
+    sub-step's structure is checked exactly, not assumed.
     """
     if steps_per_half < 1:
         raise ValueError(f"steps_per_half must be >= 1, got {steps_per_half}")
     dt = spec.tau / steps_per_half
-    g00, g01, g10, g11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    A, B, C, D = 1.0, 0.0, 0.0, 1.0
     for gamma in (spec.gamma0, spec.mu * spec.gamma0):
         step = expm_traceless((-spec.J, 0.0, 1j * gamma), dt)
         m00, m01 = complex(step[0, 0]), complex(step[0, 1])
         m10, m11 = complex(step[1, 0]), complex(step[1, 1])
+        if m00.imag or m11.imag or m01.real or m10.real:
+            raise ConsistencyError(
+                f"sub-step of gamma={gamma} is not [[real, imag], [imag, real]]: {step}"
+            )
+        a, b, c, d = m00.real, m01.imag, m10.imag, m11.real
         for _ in range(steps_per_half):
-            n00 = m00 * g00 + m01 * g10
-            n01 = m00 * g01 + m01 * g11
-            n10 = m10 * g00 + m11 * g10
-            n11 = m10 * g01 + m11 * g11
-            g00, g01, g10, g11 = n00, n01, n10, n11
-    return np.array([[g00, g01], [g10, g11]])
+            A, B, C, D = a * A - b * C, a * B + b * D, c * A + d * C, d * D - c * B
+    return np.array([[A + 0j, complex(0.0, B)], [complex(0.0, C), D + 0j]])
 
 
 def stepped_constant(r, t, steps: int) -> np.ndarray:

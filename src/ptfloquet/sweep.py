@@ -1,7 +1,10 @@
 """Dense phase-diagram sweeps over (gamma0, omega) and 1-D threshold scans.
 
-Every cell comes from the same scalar kernel that classify uses, so a
-grid cell and a classify call on the same drive agree bit for bit.
+A grid is evaluated one gamma0 row at a time by the row kernel
+floquet._evaluate_row; threshold scans, like classify, evaluate one drive
+at a time with the scalar kernel floquet._evaluate.  The two kernels do the
+same arithmetic, so a grid cell and a classify call on the same drive
+agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -9,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError
-from .floquet import BROKEN_CODE, DEFAULT_TOL, PHASE_BY_CODE, _evaluate
+from .floquet import (
+    BROKEN_CODE,
+    DEFAULT_TOL,
+    PHASE_BY_CODE,
+    _evaluate,
+    _evaluate_row,
+)
 from .model import DrivingSpec, PhaseClass
 
 
@@ -82,14 +91,14 @@ def sweep_grid(
 
     gamma_axis = grid_axis(g_lo, g_hi, g_count)
     omega_axis = grid_axis(o_lo, o_hi, o_count)
-    omega_values = omega_axis.tolist()
 
     c_values = np.empty((g_count, o_count))
     classes = np.empty((g_count, o_count), dtype=np.int8)
     trace_half = np.empty((g_count, o_count))
     for i, gamma0 in enumerate(gamma_axis.tolist()):
-        cells = [_evaluate(J, gamma0, mu, omega, tol)[1:] for omega in omega_values]
-        trace_half[i], c_values[i], classes[i] = zip(*cells)
+        trace_half[i], c_values[i], classes[i] = _evaluate_row(
+            J, gamma0, mu, omega_axis, tol
+        )
 
     return PhaseGrid(
         gamma_axis=gamma_axis,

@@ -23,27 +23,43 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def test_classify_json_document(capsys):
-    code, out, err = run_cli(
-        capsys, "classify", "--gamma0", "0.5", "--mu", "1", "--omega", "3"
-    )
-    assert code == 0 and err == ""
-    doc = json.loads(out)
-    assert doc["phase"] == "Unbroken"
-    assert doc["c"] <= 1e-12
-    assert list(doc) == [
-        "gamma0",
-        "mu",
-        "omega",
-        "J",
-        "c",
-        "phase",
-        "eps_f_re",
-        "eps_f_im",
-        "trace_half",
-        "g_plus_abs",
-        "g_minus_abs",
-    ]
+    # the key list is fixed; a float beyond double range is written as null
+    # (the two saturated drives: c = 1 - ulp, and |g_plus| or h overflow)
+    for gamma0, mu, omega, nulls in [
+        ("0.5", "1", "3", []),
+        ("10", "-1", "0.05", ["eps_f_im", "trace_half", "g_plus_abs"]),
+        ("4", "-1", "0.035", ["g_plus_abs"]),
+    ]:
+        code, out, err = run_cli(
+            capsys, "classify", "--gamma0", gamma0, "--mu", mu, "--omega", omega
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert [key for key, value in doc.items() if value is None] == nulls
+        assert list(doc) == [
+            "gamma0",
+            "mu",
+            "omega",
+            "J",
+            "c",
+            "phase",
+            "eps_f_re",
+            "eps_f_im",
+            "trace_half",
+            "g_plus_abs",
+            "g_minus_abs",
+        ]
+        if nulls:
+            assert doc["phase"] == "Broken" and doc["c"] == math.nextafter(1.0, 0.0)
+            assert doc["g_minus_abs"] == 0.0
+        else:
+            assert doc["phase"] == "Unbroken"
+            assert doc["c"] <= 1e-12
 
 
 def test_classify_broken_resonance_and_passive(capsys):
@@ -82,6 +98,7 @@ def test_classify_invalid_parameters_exit_2(capsys):
         ("--gamma0", "inf"),
         ("--omega", "inf"),
         ("--J", "inf"),
+        ("--gamma0", "1e200"),  # finite, but the half trace comes out NaN
     ]:
         argv = ["classify"]
         for key, default in {**base, flag: value}.items():
@@ -91,7 +108,7 @@ def test_classify_invalid_parameters_exit_2(capsys):
         assert out == ""
         assert err.strip() != "" and "\n" not in err.strip()
         assert "Traceback" not in err
-        if value == "inf":
+        if value in ("inf", "1e200"):
             assert flag.lstrip("-") in err
 
 
@@ -131,6 +148,14 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
     ]
     code, _, err = run_cli(capsys, *args)
     assert code == 2 and "at least 2" in err
+
+    # finite input whose half trace comes out NaN: no nan rows, no file
+    code, out, err = run_cli(
+        capsys, "sweep", "--mu", "1", "--gamma-max", "1e200",
+        "--gamma-steps", "2", "--omega-steps", "2", "--out", str(out_file),
+    )
+    assert code == 2 and out == "" and "gamma0=1e+200" in err
+    assert "\n" not in err.strip() and not out_file.exists()
 
     good = [
         "sweep", "--mu", "0",

@@ -141,6 +141,18 @@ def test_classify_examples():
     r = classify(DrivingSpec(0.0, -1.0, 4.136842105263158))
     assert r.phase is PhaseClass.UNBROKEN and abs(r.half_trace) < 1.0
     assert r.c == 0.0
+    # h beyond double range: the roots are h and 1/h, and cos(2 eps tau) = -inf
+    # puts Re eps_f at omega/2 (acos(-inf) and the quadratic formula give NaN)
+    r = classify(DrivingSpec(10.0, -1.0, 0.05))
+    assert r.half_trace == -math.inf and r.phase is PhaseClass.BROKEN
+    assert r.c == math.nextafter(1.0, 0.0)
+    assert r.g_plus == -math.inf and r.g_minus == 0.0
+    assert r.eps_f == complex(0.025, math.inf)
+    # a NaN half trace from finite input names the drive
+    with pytest.raises(ValueError, match="gamma0=1e\\+200"):
+        classify(DrivingSpec(1e200, 1.0, 1.0))
+    with pytest.raises(ValueError, match="gamma0=1e\\+200"):
+        sweep_grid(1.0, 1.0, (0.0, 1e200, 2), (0.5, 1.0, 2))
 
 
 def test_classify_rejects_bad_tolerance():

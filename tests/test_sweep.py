@@ -12,6 +12,7 @@ from ptfloquet import (
     sweep_grid,
     threshold_scan,
 )
+from ptfloquet import precise
 from ptfloquet.floquet import BROKEN_CODE, UNBROKEN_CODE
 
 
@@ -36,13 +37,40 @@ def test_sweep_validation():
         sweep_grid(0.0, -1.0, (0.0, 1.0, 10), (0.1, 2.0, 10))  # bad coupling
 
 
-def test_sweep_matches_pointwise_classify():
-    grid = sweep_grid(-0.4, 1.0, (0.0, 2.0, 9), (0.4, 3.0, 11))
-    for i, gamma0 in enumerate(grid.gamma_axis):
-        for j, omega in enumerate(grid.omega_axis):
-            r = classify(DrivingSpec(float(gamma0), -0.4, float(omega)))
-            assert grid.c_values[i, j] == r.c
-            assert grid.phase_at(i, j) is r.phase
+def test_sweep_matches_pointwise_classify(monkeypatch):
+    # grids use the row kernel, classify the scalar one; they must agree bit
+    # for bit on every branch: the series half step (rows gamma0 = J and
+    # mu gamma0 = J), the corner cell (gamma0 = 0, omega = 0.1) that precise
+    # re-evaluates, and saturated cells with h = +-inf and c = 1 - ulp
+    real_half_trace = precise.half_trace
+    precise_calls = []
+
+    def counted_half_trace(J, gamma0, mu, omega, amplification):
+        precise_calls.append((gamma0, omega))
+        return real_half_trace(J, gamma0, mu, omega, amplification)
+
+    monkeypatch.setattr(precise, "half_trace", counted_half_trace)
+    cases = [
+        (-0.4, (0.0, 2.0, 9), (0.4, 3.0, 11)),
+        (1.0, (0.5, 1.5, 3), (0.05, 3.0, 11)),
+        (0.5, (1.0, 3.0, 3), (0.05, 3.0, 11)),
+        (0.9, (0.0, 4.0, 2), (0.1, 6.0, 2)),
+        (-1.0, (3.0, 4.0, 3), (0.03, 0.06, 13)),
+    ]
+    saturated = series_rows = 0
+    for mu, gamma_range, omega_range in cases:
+        grid = sweep_grid(mu, 1.0, gamma_range, omega_range)
+        saturated += int(np.isinf(grid.trace_half).sum())
+        for i, gamma0 in enumerate(grid.gamma_axis.tolist()):
+            series_rows += 1.0 in (gamma0, mu * gamma0)
+            for j, omega in enumerate(grid.omega_axis.tolist()):
+                r = classify(DrivingSpec(gamma0, mu, omega))
+                h = np.float64(r.half_trace)
+                assert grid.trace_half[i, j].tobytes() == h.tobytes()
+                assert grid.c_values[i, j] == r.c
+                assert grid.phase_at(i, j) is r.phase
+    assert series_rows > 0 and saturated > 0
+    assert precise_calls.count((0.0, 0.1)) == 2  # once per kernel
 
 
 def test_static_drive_classes_are_frequency_independent():
