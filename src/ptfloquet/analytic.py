@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BracketError, ConsistencyError
+from .errors import ConsistencyError
 from .model import DrivingSpec
 from .pauli import sin_over_r
 
@@ -176,42 +176,19 @@ def asymptotic_boundary_log(gamma, J=1.0) -> float:
     return math.pi * gamma / math.log(2.0 * gamma / J)
 
 
-def mu0_sliver(n, gamma0, J=1.0, tol=0.0) -> float:
+def mu0_sliver(n, gamma0, J=1.0) -> float:
     """Center frequency of the PT-symmetric sliver of the half-Hermitian
-    drive above the static threshold.
+    drive above the static threshold, in closed form.
 
-    Solves cot(J tau) = J/q with q = sqrt(gamma0^2 - J^2) for the root with
-    J tau in ((n-1) pi/2, (n+1) pi/2), odd n, then returns omega = pi/tau.
-    Bisection runs on q cos(J tau) - J sin(J tau), which has no poles and
-    exactly one sign change in the bracket; for gamma0 >> J the frequency
-    approaches 2J/n.  It stops once the tau bracket is no wider than tol or
-    its ends are adjacent floats; with the default tol = 0 the returned
-    omega lies within about one ulp of the exact centre, which the slivers
-    need: at q tau ~ 37 a sliver is narrower than one ulp of omega.
+    The centre solves tan(J tau) = q/J > 0 on the branch
+    J tau in ((n-1) pi/2, (n+1) pi/2), odd n, so
+    J tau = atan2(q, J) + (n-1)/2 pi and omega = pi/tau; for gamma0 >> J
+    the frequency approaches 2J/n.  q = sqrt((gamma0 - J)(gamma0 + J))
+    avoids the cancellation of gamma0^2 - J^2 next to gamma0 = J.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"sliver index must be an odd positive integer, got {n}")
     if not gamma0 > J:
         raise ValueError(f"slivers need gamma0 > J, got gamma0 = {gamma0}")
-    q = math.sqrt(gamma0 * gamma0 - J * J)
-
-    def f(tau):
-        return q * math.cos(J * tau) - J * math.sin(J * tau)
-
-    lo = (n - 1) * math.pi / (2.0 * J)
-    hi = (n + 1) * math.pi / (2.0 * J)
-    f_lo = f(lo)
-    if (f_lo > 0.0) == (f(hi) > 0.0):
-        raise BracketError(
-            f"no sign change for sliver n={n} at gamma0={gamma0}, J={J}"
-        )
-    lo_positive = f_lo > 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats: the bracket cannot shrink further
-        if (f(mid) > 0.0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    return math.pi / (0.5 * (lo + hi))
+    q = math.sqrt((gamma0 - J) * (gamma0 + J))
+    return math.pi * J / (math.atan2(q, J) + (n - 1) // 2 * math.pi)

@@ -3,7 +3,7 @@ CSV (optionally a PPM heatmap), and emit analytic boundary curves.
 
 All quantities are expressed in units of the coupling J (J defaults to 1;
 rescaling is the caller's responsibility).  Exit codes: 0 success, 2 bad
-usage or parameters, 3 internal consistency failure.
+usage, parameters or output paths, 3 internal consistency failure.
 """
 
 import argparse
@@ -70,23 +70,6 @@ def render_ppm(grid: PhaseGrid) -> bytes:
     return header + pixels[::-1].tobytes()
 
 
-def _write_text(path, text, force):
-    _refuse_overwrite(path, force)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_bytes(path, payload, force):
-    _refuse_overwrite(path, force)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-
-
-def _refuse_overwrite(path, force):
-    if os.path.exists(path) and not force:
-        raise ValueError(f"refusing to overwrite {path} (use --force)")
-
-
 def cmd_classify(args) -> int:
     spec = DrivingSpec(gamma0=args.gamma0, mu=args.mu, omega=args.omega, J=args.J)
     result = classify(spec, tol=args.tol)
@@ -116,6 +99,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # refuse before computing, so a refusal leaves no output behind
+    for path in (args.out, args.ppm):
+        if path is not None and os.path.exists(path) and not args.force:
+            raise ValueError(f"refusing to overwrite {path} (use --force)")
     grid = sweep_grid(
         mu=args.mu,
         J=args.J,
@@ -123,13 +110,17 @@ def cmd_sweep(args) -> int:
         omega_range=(args.omega_min, args.omega_max, args.omega_steps),
         tol=args.tol,
     )
-    _write_text(args.out, render_sweep_csv(grid), args.force)
+    with open(args.out, "w", newline="\n") as fh:
+        fh.write(render_sweep_csv(grid))
     if args.ppm is not None:
-        _write_bytes(args.ppm, render_ppm(grid), args.force)
+        with open(args.ppm, "wb") as fh:
+            fh.write(render_ppm(grid))
     return 0
 
 
 def cmd_boundary(args) -> int:
+    if not 0.0 < args.J < math.inf:
+        raise ValueError(f"--J must be finite and positive, got {args.J}")
     if args.samples < 1:
         raise ValueError("need at least one sample")
     if args.kind in ("unbroken-ellipse", "broken-ellipse"):
@@ -238,7 +229,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"pt-floquet: internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"pt-floquet: {exc}", file=sys.stderr)
         return 2
 

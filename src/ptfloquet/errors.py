@@ -7,4 +7,4 @@ class ConsistencyError(RuntimeError):
 
 
 class BracketError(ValueError):
-    """A root bracket does not straddle a sign change."""
+    """A bisection bracket does not straddle the transition it brackets."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import precise
 from .model import DrivingSpec, PhaseClass
-from .pauli import SERIES_CUTOFF, quadratic_roots
+from .pauli import SERIES_CUTOFF, eigenvalues2, quadratic_roots
 
 DEFAULT_TOL = 1e-9
 
@@ -96,15 +96,12 @@ def _monodromy_entries(J, gamma0, mu, omega):
 def _amp_rate_from_half_trace(half_trace):
     """(|g+| - |g-|)/(|g+| + |g-|) for the eigenvalue pair of a unit-determinant
     matrix with the given real half trace h: exactly 0 for |h| <= 1, where both
-    are unimodular; otherwise |g+| = B = |h| + sqrt(h^2 - 1) and |g-| = 1/B,
-    kept below 1 where the ratio rounds up or B overflows."""
+    are unimodular; otherwise |g+| = B = |h| + sqrt(h^2 - 1) and |g-| = 1/B."""
     h = abs(half_trace)
     if h <= 1.0:
         return 0.0
     big = h + math.sqrt(h * h - 1.0)
-    if math.isinf(big):
-        return _ONE_MINUS_ULP
-    return min((big - 1.0 / big) / (big + 1.0 / big), _ONE_MINUS_ULP)
+    return _amp_rate(big, 1.0 / big)
 
 
 def _amp_rate(mod_plus, mod_minus):
@@ -330,11 +327,7 @@ def amplification_rate(m) -> float:
     Zero when both eigenvalues share one modulus (bounded dynamics) and
     invariant under rescaling m by any nonzero complex number.
     """
-    m = np.asarray(m, dtype=complex)
-    half_trace = complex(m[0, 0] + m[1, 1]) / 2.0
-    det = complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    g_plus, g_minus = quadratic_roots(half_trace, det)
-    return _amp_rate(abs(g_plus), abs(g_minus))
+    return _amp_rate(*(abs(g) for g in eigenvalues2(m)))
 
 
 def classify(spec: DrivingSpec, tol: float = DEFAULT_TOL) -> FloquetResult:

@@ -51,6 +51,8 @@ class DrivingSpec:
             raise ValueError(f"mu must lie in [-1, 1], got {self.mu}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
+        if math.isinf(self.period):
+            raise ValueError(f"2 pi / omega overflows for omega = {self.omega}")
 
     @property
     def tau(self) -> float:

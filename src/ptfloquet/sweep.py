@@ -112,18 +112,12 @@ def sweep_grid(
     )
 
 
-def threshold_scan(
-    mu,
-    J,
-    omega,
-    gamma_hint,
-    tol=1e-6,
-    classify_tol=DEFAULT_TOL,
-) -> float:
+def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
     """Bisect the breaking threshold in gamma0 at fixed mu and omega.
 
     gamma_hint = (lo, hi) must straddle the transition monotonically:
-    lo classifies away from Broken and hi classifies Broken.  Returns the
+    lo classifies away from Broken and hi classifies Broken, at the
+    classification tolerance DEFAULT_TOL of classify.  Returns the
     bracket midpoint once its width is <= tol, or once lo and hi are
     adjacent floats, so a tol below their spacing still ends the search.
     """
@@ -132,21 +126,21 @@ def threshold_scan(
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     if not tol > 0:
         raise ValueError(f"scan tolerance must be positive, got {tol}")
-    if _is_broken(J, lo, mu, omega, classify_tol):
+    if _is_broken(J, lo, mu, omega):
         raise BracketError(f"lower bracket gamma0={lo} already classifies Broken")
-    if not _is_broken(J, hi, mu, omega, classify_tol):
+    if not _is_broken(J, hi, mu, omega):
         raise BracketError(f"upper bracket gamma0={hi} does not classify Broken")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _is_broken(J, mid, mu, omega, classify_tol):
+        if _is_broken(J, mid, mu, omega):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def _is_broken(J, gamma0, mu, omega, tol):
-    *_, code = _evaluate(J, gamma0, mu, omega, tol)
+def _is_broken(J, gamma0, mu, omega):
+    *_, code = _evaluate(J, gamma0, mu, omega, DEFAULT_TOL)
     return code == BROKEN_CODE

@@ -215,23 +215,49 @@ def test_mu0_specialization_matches_general_formula():
 
 
 def test_mu0_sliver_exact_point():
-    # gamma0 = 2J: cot(J tau) = 1/sqrt(3) selects J tau = pi/3, omega = 3J
-    assert mu0_sliver(1, 2.0) == pytest.approx(3.0, abs=1e-10)
+    # gamma0 = 2J: cot(J tau) = 1/sqrt(3) selects J tau = pi/3 (omega = 3J) on
+    # the n = 1 branch and J tau = 4 pi/3 (omega = 3J/4) on the n = 3 branch
+    assert mu0_sliver(1, 2.0) == 3.0
+    assert mu0_sliver(3, 2.0) == 0.75
 
 
 def test_mu0_sliver_bracket_convention_and_limits():
     for n in (1, 3, 5):
         omega = mu0_sliver(n, 1e3)
         assert abs(omega - 2.0 / n) <= 1e-3 * (2.0 / n)
-        # returned root sits in the advertised bracket
-        tau = math.pi / mu0_sliver(n, 2.5)
-        assert (n - 1) * math.pi / 2 < tau < (n + 1) * math.pi / 2
-        # and satisfies the resonance condition to bisection accuracy
+        # each root satisfies the resonance condition to rounding accuracy
         for gamma0 in (1.2, 2.5, 10.0):
             q = math.sqrt(gamma0**2 - 1.0)
             tau = math.pi / mu0_sliver(n, gamma0)
             residual = abs(q * math.cos(tau) - math.sin(tau)) / math.hypot(q, 1.0)
             assert residual <= 1e-10
+    # returned root sits in the advertised bracket
+    for n, gamma0 in ((1, 2.5), (3, 2.5), (5, 2.5), (5, 5.0), (20001, 2.0)):
+        tau = math.pi / mu0_sliver(n, gamma0)
+        assert (n - 1) * math.pi / 2 < tau < (n + 1) * math.pi / 2
+
+
+def test_mu0_sliver_within_three_ulps_of_exact_centre():
+    # Rounding budget of the closed form at n = 1, in ulps of the result:
+    # q at most 1, atan2, pi*J and the quotient 1/2 each, and math.pi's own
+    # rounding 0.35, so below 3.  Measured worst on 20 000 drives: 2.55.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    drives = [
+        (1, 1.0073817760910733, 1.0),  # 13 ulps off with the former bisection
+        (1, 3.7000666436533356, 3.7),  # 2.04 ulps off
+    ]
+    for J in (0.5, 1.0, 3.7):
+        for n in (1, 3, 21, 20001):
+            for offset in log_uniform(rng, 1e-12, 1e3, 20).tolist():
+                drives.append((n, (1.0 + offset) * J, J))
+    with mpmath.workdps(60):
+        for n, gamma0, J in drives:
+            g, j = mpmath.mpf(gamma0), mpmath.mpf(J)
+            q = mpmath.sqrt((g - j) * (g + j))
+            exact = mpmath.pi * j / (mpmath.atan(q / j) + (n - 1) // 2 * mpmath.pi)
+            error = abs(mpmath.mpf(mu0_sliver(n, gamma0, J)) - exact)
+            assert error <= 3 * math.ulp(float(exact)), (n, gamma0, J)
 
 
 def test_mu0_sliver_identity_and_classification():
@@ -253,14 +279,6 @@ def test_mu0_sliver_identity_and_classification():
                 assert abs(value) < 1.0
                 spec = DrivingSpec(gamma0=gamma0, mu=0.0, omega=omega)
                 assert classify(spec).phase is PhaseClass.UNBROKEN
-
-
-def test_mu0_sliver_bisection_stops_at_adjacent_floats():
-    # a tolerance below the ulp of the tau bracket used to loop forever;
-    # the bisection now ends once the midpoint equals an endpoint
-    for n, gamma0, tol in ((20001, 2.0, 1e-12), (1, 2.0, 1e-30), (5, 5.0, 0.0)):
-        tau = math.pi / mu0_sliver(n, gamma0, tol=tol)
-        assert (n - 1) * math.pi / 2 <= tau <= (n + 1) * math.pi / 2
 
 
 def test_mu0_sliver_rejects_bad_inputs():

@@ -99,6 +99,7 @@ def test_classify_invalid_parameters_exit_2(capsys):
         ("--omega", "inf"),
         ("--J", "inf"),
         ("--gamma0", "1e200"),  # finite, but the half trace comes out NaN
+        ("--omega", "1e-310"),  # finite, but the period overflows
     ]:
         argv = ["classify"]
         for key, default in {**base, flag: value}.items():
@@ -108,7 +109,7 @@ def test_classify_invalid_parameters_exit_2(capsys):
         assert out == ""
         assert err.strip() != "" and "\n" not in err.strip()
         assert "Traceback" not in err
-        if value in ("inf", "1e200"):
+        if value in ("inf", "1e200", "1e-310"):
             assert flag.lstrip("-") in err
 
 
@@ -156,6 +157,24 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
     )
     assert code == 2 and out == "" and "gamma0=1e+200" in err
     assert "\n" not in err.strip() and not out_file.exists()
+
+    # a period that overflows, an existing PPM and a missing directory are
+    # each refused with one line, and none of them leaves a CSV behind
+    ppm_file = tmp_path / "taken.ppm"
+    ppm_file.write_bytes(b"")
+    for extra, needle in [
+        (["--omega-min", "1e-310", "--out", str(out_file)], "omega"),
+        (["--out", str(out_file), "--ppm", str(ppm_file)], "overwrite"),
+        (["--out", str(tmp_path / "missing" / "grid.csv")], "missing"),
+    ]:
+        code, out, err = run_cli(
+            capsys, "sweep", "--mu", "0", "--gamma-steps", "2", "--omega-steps", "2",
+            *extra,
+        )
+        assert code == 2 and out == "" and needle in err, extra
+        assert "\n" not in err.strip() and "Traceback" not in err
+        assert not out_file.exists()
+        assert not (tmp_path / "missing").exists()
 
     good = [
         "sweep", "--mu", "0",
@@ -255,6 +274,17 @@ def test_boundary_rejects_bad_indices(capsys):
         )
         assert code == 2 and out == ""
         assert flag in err and "\n" not in err.strip()
+        assert "Traceback" not in err
+    for kind, extra, value in [
+        ("asymptotic", [], "0"),
+        ("mu0-sliver", ["--n", "1"], "-1"),
+        ("mu0-sliver", ["--n", "1"], "nan"),
+    ]:
+        code, out, err = run_cli(
+            capsys, "boundary", "--kind", kind, *extra, "--J", value, "--samples", "2"
+        )
+        assert code == 2 and out == ""
+        assert "--J" in err and "\n" not in err.strip()
         assert "Traceback" not in err
 
 

@@ -145,6 +145,7 @@ def test_driving_spec_validation_and_derived_quantities():
         dict(gamma0=1.0, mu=0.0, omega=0.0),
         dict(gamma0=1.0, mu=0.0, omega=1.0, J=0.0),
         dict(gamma0=math.nan, mu=0.0, omega=1.0),
+        dict(gamma0=1.0, mu=0.0, omega=1e-310),  # 2 pi / omega overflows
     ]:
         with pytest.raises(ValueError):
             DrivingSpec(**bad)
