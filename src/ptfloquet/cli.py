@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic
 from .errors import ConsistencyError
-from .floquet import DEFAULT_TOL, EXCEPTIONAL_CODE, classify, passive_monodromy
+from .floquet import EXCEPTIONAL_CODE, classify, passive_monodromy
 from .model import DrivingSpec
 from .pauli import eigenvalues2
 from .sweep import PHASE_BY_CODE, PhaseGrid, sweep_grid
@@ -72,7 +72,7 @@ def render_ppm(grid: PhaseGrid) -> bytes:
 
 def cmd_classify(args) -> int:
     spec = DrivingSpec(gamma0=args.gamma0, mu=args.mu, omega=args.omega, J=args.J)
-    result = classify(spec, tol=args.tol)
+    result = classify(spec)
     doc = {
         "gamma0": args.gamma0,
         "mu": args.mu,
@@ -108,13 +108,21 @@ def cmd_sweep(args) -> int:
         J=args.J,
         gamma_range=(args.gamma_min, args.gamma_max, args.gamma_steps),
         omega_range=(args.omega_min, args.omega_max, args.omega_steps),
-        tol=args.tol,
     )
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(render_sweep_csv(grid))
-    if args.ppm is not None:
-        with open(args.ppm, "wb") as fh:
-            fh.write(render_ppm(grid))
+    # all or nothing: a failed write removes what this call already wrote
+    written = []
+    try:
+        with open(args.out, "w", newline="\n") as fh:
+            written.append(args.out)
+            fh.write(render_sweep_csv(grid))
+        if args.ppm is not None:
+            with open(args.ppm, "wb") as fh:
+                written.append(args.ppm)
+                fh.write(render_ppm(grid))
+    except BaseException:
+        for path in set(written):
+            os.remove(path)
+        raise
     return 0
 
 
@@ -161,6 +169,10 @@ def _gamma_samples(args):
     if args.gamma_max <= args.J:
         raise ValueError("--gamma-max must exceed J")
     if args.gamma_min is not None:
+        if not args.J < args.gamma_min <= args.gamma_max:
+            raise ValueError(
+                f"--gamma-min must lie in (J, --gamma-max], got {args.gamma_min}"
+            )
         if args.samples == 1:
             return [args.gamma_min]
         step = (args.gamma_max - args.gamma_min) / (args.samples - 1)
@@ -182,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--gamma0", type=float, required=True)
     p_cls.add_argument("--mu", type=float, required=True)
     p_cls.add_argument("--omega", type=float, required=True)
-    p_cls.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_cls.add_argument(
         "--passive",
         action="store_true",
@@ -201,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--out", required=True, help="CSV output path")
     p_sw.add_argument("--ppm", default=None, help="optional PPM heatmap path")
     p_sw.add_argument("--J", type=float, default=1.0)
-    p_sw.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_sw.add_argument("--force", action="store_true", help="overwrite outputs")
     p_sw.set_defaults(handler=cmd_sweep)
 

@@ -26,6 +26,7 @@ from . import precise
 from .model import DrivingSpec, PhaseClass
 from .pauli import SERIES_CUTOFF, eigenvalues2, quadratic_roots
 
+# fixed width of the Exceptional band 1 < |h| <= 1 + DEFAULT_TOL
 DEFAULT_TOL = 1e-9
 
 # phase codes used by the sweep engine's compact grids
@@ -119,12 +120,14 @@ def _amp_rate(mod_plus, mod_minus):
     return c
 
 
-def _phase_code(c, half_trace, tol):
-    # an exceptional verdict only makes sense once c has ruled out the
-    # unbroken side, where |tr/2| = 1 also occurs at harmless band touchings
-    if c <= tol:
+def _phase_code(half_trace):
+    """Unbroken for |h| <= 1, where both eigenvalues are unimodular (band
+    touchings included); Exceptional for 1 < |h| <= 1 + DEFAULT_TOL, with
+    |h| - 1 exact there; Broken beyond."""
+    h = abs(half_trace)
+    if h <= 1.0:
         return UNBROKEN_CODE
-    if abs(abs(half_trace) - 1.0) <= tol:
+    if h - 1.0 <= DEFAULT_TOL:
         return EXCEPTIONAL_CODE
     return BROKEN_CODE
 
@@ -161,10 +164,11 @@ def trace_noise(J, gamma0, mu, omega) -> float:
     return 16.0 * _UNIT_ROUNDOFF * math.exp(growth) * poly * amp
 
 
-def _evaluate(J, gamma0, mu, omega, tol):
+def _evaluate(J, gamma0, mu, omega):
     """Scalar kernel of classify and threshold_scan: the real monodromy
-    numbers, the half trace h, the amplification rate c and the phase code.
-    _evaluate_row does the same arithmetic for a grid row.
+    numbers, the half trace h, the amplification rate c and the phase code
+    (Unbroken for |h| <= 1, Exceptional for 1 < |h| <= 1 + DEFAULT_TOL,
+    Broken beyond).  _evaluate_row does the same arithmetic for a grid row.
 
     c follows from h alone, because the determinant is structurally 1
     (exact for this product of unit-determinant factors); the entries'
@@ -182,7 +186,7 @@ def _evaluate(J, gamma0, mu, omega, tol):
     if abs(abs(half_trace) - 1.0) <= noise < math.inf:
         half_trace = precise.half_trace(J, gamma0, mu, omega, noise / _UNIT_ROUNDOFF)
     c = _amp_rate_from_half_trace(half_trace)
-    return entries, half_trace, c, _phase_code(c, half_trace, tol)
+    return entries, half_trace, c, _phase_code(half_trace)
 
 
 def _nan_error(J, gamma0, mu, omega):
@@ -235,9 +239,11 @@ def _trace_noise_row(J, gamma0, mu, tau):
     return noise
 
 
-def _evaluate_row(J, gamma0, mu, omega_axis, tol):
+def _evaluate_row(J, gamma0, mu, omega_axis):
     """_evaluate for one gamma0 over a float64 array of omega, as arrays
-    (half_trace, c, code); each cell is bit-identical to _evaluate's."""
+    (half_trace, c, code), with the same rule on |h|: Unbroken for |h| <= 1,
+    Exceptional up to 1 + DEFAULT_TOL, Broken beyond.  Each cell is
+    bit-identical to _evaluate's."""
     tau = math.pi / omega_axis
     with np.errstate(all="ignore"):  # overflow to inf is expected, as in floats
         a00, a01, a11 = _half_step_row(J, gamma0, tau)
@@ -263,11 +269,8 @@ def _evaluate_row(J, gamma0, mu, omega_axis, tol):
                 np.minimum((big - 1.0 / big) / (big + 1.0 / big), _ONE_MINUS_ULP),
             ),
         )
-    code = np.where(
-        c <= tol,
-        UNBROKEN_CODE,
-        np.where(np.abs(h - 1.0) <= tol, EXCEPTIONAL_CODE, BROKEN_CODE),
-    )
+    code = np.where(h - 1.0 <= DEFAULT_TOL, EXCEPTIONAL_CODE, BROKEN_CODE)
+    code[h <= 1.0] = UNBROKEN_CODE
     return half_trace, c, code
 
 
@@ -330,18 +333,15 @@ def amplification_rate(m) -> float:
     return _amp_rate(*(abs(g) for g in eigenvalues2(m)))
 
 
-def classify(spec: DrivingSpec, tol: float = DEFAULT_TOL) -> FloquetResult:
+def classify(spec: DrivingSpec) -> FloquetResult:
     """Monodromy, eigenvalues, quasienergy, amplification rate and phase.
 
-    Unbroken when c <= tol; otherwise Exceptional if |tr/2| sits within tol
-    of 1 (the boundary set), else Broken.  Where the half trace h is beyond
+    The phase follows from the half trace h = tr/2 alone: Unbroken when
+    |h| <= 1 (c == 0), Exceptional in the fixed band 1 < |h| <= 1 +
+    DEFAULT_TOL next to the boundary, Broken beyond.  Where h is beyond
     double range (+-inf), g_plus = h, g_minus = 1/h and Im eps_f = inf.
     """
-    if not tol > 0:
-        raise ValueError(f"classification tolerance must be positive, got {tol}")
-    entries, half_trace, c, code = _evaluate(
-        spec.J, spec.gamma0, spec.mu, spec.omega, tol
-    )
+    entries, half_trace, c, code = _evaluate(spec.J, spec.gamma0, spec.mu, spec.omega)
     if math.isinf(half_trace):
         g_plus, g_minus = complex(half_trace), complex(1.0 / half_trace)
     else:

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError
-from .floquet import (
-    BROKEN_CODE,
-    DEFAULT_TOL,
-    PHASE_BY_CODE,
-    _evaluate,
-    _evaluate_row,
-)
+from .floquet import BROKEN_CODE, DEFAULT_TOL, PHASE_BY_CODE, _evaluate, _evaluate_row
 from .model import DrivingSpec, PhaseClass
 
 
@@ -27,7 +21,9 @@ class PhaseGrid:
     """Rectangular sweep result, gamma-major.
 
     classes holds compact int8 codes; PHASE_BY_CODE (or phase_at) maps them
-    back to PhaseClass.  A cell is Unbroken exactly when its c <= tol.
+    back to PhaseClass.  A cell is Unbroken exactly when c == 0, that is
+    |h| <= 1.  tol records the fixed width DEFAULT_TOL of the Exceptional
+    band 1 < |h| <= 1 + tol.
     """
 
     gamma_axis: np.ndarray
@@ -63,14 +59,7 @@ def resolve_workers(workers=None) -> int:
     return 1
 
 
-def sweep_grid(
-    mu,
-    J,
-    gamma_range,
-    omega_range,
-    tol=DEFAULT_TOL,
-    workers=None,
-) -> PhaseGrid:
+def sweep_grid(mu, J, gamma_range, omega_range, workers=None) -> PhaseGrid:
     """Classify every node of a (gamma0, omega) grid.
 
     gamma_range and omega_range are (lo, hi, count) with count >= 2; the
@@ -83,8 +72,6 @@ def sweep_grid(
         raise ValueError("grid needs at least 2 nodes per axis")
     if not (g_lo < g_hi and o_lo < o_hi):
         raise ValueError("range lo must be strictly below hi")
-    if not tol > 0:
-        raise ValueError(f"classification tolerance must be positive, got {tol}")
     # corner specs raise the same validation errors a per-cell construction would
     DrivingSpec(gamma0=g_lo, mu=mu, omega=o_lo, J=J)
     DrivingSpec(gamma0=g_hi, mu=mu, omega=o_hi, J=J)
@@ -97,7 +84,7 @@ def sweep_grid(
     trace_half = np.empty((g_count, o_count))
     for i, gamma0 in enumerate(gamma_axis.tolist()):
         trace_half[i], c_values[i], classes[i] = _evaluate_row(
-            J, gamma0, mu, omega_axis, tol
+            J, gamma0, mu, omega_axis
         )
 
     return PhaseGrid(
@@ -105,7 +92,7 @@ def sweep_grid(
         omega_axis=omega_axis,
         mu=mu,
         J=J,
-        tol=tol,
+        tol=DEFAULT_TOL,
         c_values=c_values,
         classes=classes,
         trace_half=trace_half,
@@ -116,14 +103,16 @@ def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
     """Bisect the breaking threshold in gamma0 at fixed mu and omega.
 
     gamma_hint = (lo, hi) must straddle the transition monotonically:
-    lo classifies away from Broken and hi classifies Broken, at the
-    classification tolerance DEFAULT_TOL of classify.  Returns the
-    bracket midpoint once its width is <= tol, or once lo and hi are
-    adjacent floats, so a tol below their spacing still ends the search.
+    lo classifies away from Broken and hi classifies Broken, as classify
+    decides.  Returns the bracket midpoint once its width is <= tol, or
+    once lo and hi are adjacent floats, so a tol below their spacing still
+    ends the search.
     """
     lo, hi = gamma_hint
     if not (0.0 <= lo < hi):
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
+    # the upper drive raises the validation errors any drive of the bracket would
+    DrivingSpec(gamma0=hi, mu=mu, omega=omega, J=J)
     if not tol > 0:
         raise ValueError(f"scan tolerance must be positive, got {tol}")
     if _is_broken(J, lo, mu, omega):
@@ -142,5 +131,5 @@ def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
 
 
 def _is_broken(J, gamma0, mu, omega):
-    *_, code = _evaluate(J, gamma0, mu, omega, DEFAULT_TOL)
+    *_, code = _evaluate(J, gamma0, mu, omega)
     return code == BROKEN_CODE

@@ -166,6 +166,8 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
         (["--omega-min", "1e-310", "--out", str(out_file)], "omega"),
         (["--out", str(out_file), "--ppm", str(ppm_file)], "overwrite"),
         (["--out", str(tmp_path / "missing" / "grid.csv")], "missing"),
+        # the CSV is written first, then the PPM fails: the CSV is removed
+        (["--out", str(out_file), "--ppm", str(tmp_path / "missing" / "x.ppm")], "missing"),
     ]:
         code, out, err = run_cli(
             capsys, "sweep", "--mu", "0", "--gamma-steps", "2", "--omega-steps", "2",
@@ -186,6 +188,19 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
     code, _, err = run_cli(capsys, *good)
     assert code == 2 and "overwrite" in err
     assert run_cli(capsys, *good, "--force")[0] == 0
+
+
+def test_classify_and_sweep_have_no_tol_option(tmp_path):
+    # the phase rule has a fixed band, so --tol is an unknown option
+    for argv in [
+        ["classify", "--gamma0", "0.6", "--mu", "-1", "--omega", "1.6"],
+        ["sweep", "--mu", "0", "--gamma-steps", "2", "--omega-steps", "2",
+         "--out", str(tmp_path / "grid.csv")],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "1e-9"])
+        assert exc.value.code == 2
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_ppm_bytes_are_exactly_header_plus_payload(tmp_path, capsys):
@@ -285,6 +300,16 @@ def test_boundary_rejects_bad_indices(capsys):
         )
         assert code == 2 and out == ""
         assert "--J" in err and "\n" not in err.strip()
+        assert "Traceback" not in err
+    # the curve families live on gamma0 > J: --gamma-min lies in (J, --gamma-max]
+    for kind, extra in [
+        ("asymptotic", ["--gamma-min", "0", "--gamma-max", "2", "--samples", "3"]),
+        ("asymptotic", ["--gamma-min", "-3", "--samples", "2"]),
+        ("mu0-sliver", ["--n", "1", "--gamma-min", "3", "--gamma-max", "2"]),
+    ]:
+        code, out, err = run_cli(capsys, "boundary", "--kind", kind, *extra)
+        assert code == 2 and out == "", extra
+        assert "--gamma-min" in err and "\n" not in err.strip()
         assert "Traceback" not in err
 
 

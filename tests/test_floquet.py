@@ -26,7 +26,14 @@ from ptfloquet import (
     quasienergy,
     sweep_grid,
 )
-from ptfloquet.floquet import trace_noise
+from ptfloquet.floquet import (
+    BROKEN_CODE,
+    DEFAULT_TOL,
+    EXCEPTIONAL_CODE,
+    UNBROKEN_CODE,
+    _phase_code,
+    trace_noise,
+)
 from ptfloquet.pauli import SIGMA_Z
 from ptfloquet.precise import half_trace as precise_half_trace
 
@@ -155,9 +162,19 @@ def test_classify_examples():
         sweep_grid(1.0, 1.0, (0.0, 1e200, 2), (0.5, 1.0, 2))
 
 
-def test_classify_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        classify(DrivingSpec(0.5, 1.0, 3.0), tol=0.0)
+def test_phase_code_band_edges():
+    # Unbroken for |h| <= 1, Exceptional for 1 < |h| <= 1 + DEFAULT_TOL,
+    # Broken beyond.  |h| - 1 is exact, so the band's last double lies just
+    # below 1.0 + DEFAULT_TOL, which rounds up past the real edge.
+    last = math.nextafter(1.0 + DEFAULT_TOL, 1.0)
+    assert last - 1.0 <= DEFAULT_TOL < (1.0 + DEFAULT_TOL) - 1.0
+    for sign in (1.0, -1.0):
+        assert _phase_code(sign * 1.0) == UNBROKEN_CODE
+        assert _phase_code(sign * math.nextafter(1.0, 0.0)) == UNBROKEN_CODE
+        for h in (math.nextafter(1.0, 2.0), last):
+            assert _phase_code(sign * h) == EXCEPTIONAL_CODE, sign * h
+        for h in (1.0 + DEFAULT_TOL, math.nextafter(1.0 + DEFAULT_TOL, 2.0), math.inf):
+            assert _phase_code(sign * h) == BROKEN_CODE, sign * h
 
 
 def test_classify_result_invariants():

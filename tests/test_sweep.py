@@ -1,6 +1,8 @@
 """Grid sweep engine: determinism, grid-node exactness, structure checks
 and the threshold bisection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,13 @@ def test_threshold_scan_rejects_bad_brackets():
         threshold_scan(1.0, 1.0, 2.0, (0.2, 0.8))  # upper end not broken
     with pytest.raises(ValueError):
         threshold_scan(1.0, 1.0, 2.0, (1.5, 0.5))
+    # the drive itself is validated, naming the bad parameter
+    for mu, J, omega, bracket, name in [
+        (0.5, 1.0, 0.0, (0.5, 1.5), "omega"),
+        (0.5, 1.0, -3.0, (0.5, 1.5), "omega"),
+        (0.5, 1.0, math.nan, (0.5, 1.5), "omega"),
+        (0.5, -1.0, 2.0, (0.5, 1.5), "J"),
+        (0.5, 1.0, 2.0, (0.5, math.inf), "gamma0"),
+    ]:
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            threshold_scan(mu, J, omega, bracket)
