@@ -24,6 +24,23 @@ class PhaseClass(enum.Enum):
         return self.value
 
 
+def check_drive(gamma0, mu, omega, J):
+    """DrivingSpec's checks on bare parameters: a ValueError names the bad one."""
+    for name, value in (("gamma0", gamma0), ("omega", omega), ("J", J)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not J > 0:
+        raise ValueError(f"coupling J must be positive, got {J}")
+    if not gamma0 >= 0:
+        raise ValueError(f"gamma0 must be non-negative, got {gamma0}")
+    if not -1.0 <= mu <= 1.0:
+        raise ValueError(f"mu must lie in [-1, 1], got {mu}")
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    if math.isinf(2.0 * math.pi / omega):
+        raise ValueError(f"2 pi / omega overflows for omega = {omega}")
+
+
 @dataclass(frozen=True)
 class DrivingSpec:
     """Two-step drive: gain/loss rate gamma0 for the first half period,
@@ -39,20 +56,7 @@ class DrivingSpec:
     J: float = 1.0
 
     def __post_init__(self):
-        for name in ("gamma0", "omega", "J"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not self.J > 0:
-            raise ValueError(f"coupling J must be positive, got {self.J}")
-        if not self.gamma0 >= 0:
-            raise ValueError(f"gamma0 must be non-negative, got {self.gamma0}")
-        if not -1.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu must lie in [-1, 1], got {self.mu}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if math.isinf(self.period):
-            raise ValueError(f"2 pi / omega overflows for omega = {self.omega}")
+        check_drive(self.gamma0, self.mu, self.omega, self.J)
 
     @property
     def tau(self) -> float:

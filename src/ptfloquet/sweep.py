@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BracketError
 from .floquet import BROKEN_CODE, DEFAULT_TOL, PHASE_BY_CODE, _evaluate, _evaluate_row
-from .model import DrivingSpec, PhaseClass
+from .model import PhaseClass, check_drive
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,9 @@ def sweep_grid(mu, J, gamma_range, omega_range, workers=None) -> PhaseGrid:
         raise ValueError("grid needs at least 2 nodes per axis")
     if not (g_lo < g_hi and o_lo < o_hi):
         raise ValueError("range lo must be strictly below hi")
-    # corner specs raise the same validation errors a per-cell construction would
-    DrivingSpec(gamma0=g_lo, mu=mu, omega=o_lo, J=J)
-    DrivingSpec(gamma0=g_hi, mu=mu, omega=o_hi, J=J)
+    # the corner drives fail DrivingSpec's checks wherever any cell's would
+    check_drive(g_lo, mu, o_lo, J)
+    check_drive(g_hi, mu, o_hi, J)
 
     gamma_axis = grid_axis(g_lo, g_hi, g_count)
     omega_axis = grid_axis(o_lo, o_hi, o_count)
@@ -111,8 +111,9 @@ def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
     lo, hi = gamma_hint
     if not (0.0 <= lo < hi):
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-    # the upper drive raises the validation errors any drive of the bracket would
-    DrivingSpec(gamma0=hi, mu=mu, omega=omega, J=J)
+    # the upper drive fails DrivingSpec's checks wherever any drive of the bracket
+    # would; check_drive builds no spec, which is slow in a scan that runs cold
+    check_drive(hi, mu, omega, J)
     if not tol > 0:
         raise ValueError(f"scan tolerance must be positive, got {tol}")
     if _is_broken(J, lo, mu, omega):
