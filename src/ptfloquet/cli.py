@@ -100,6 +100,8 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args) -> int:
     # refuse before computing, so a refusal leaves no output behind
+    if args.ppm is not None and os.path.realpath(args.out) == os.path.realpath(args.ppm):
+        raise ValueError(f"--out and --ppm name the same file {args.out}")
     for path in (args.out, args.ppm):
         if path is not None and os.path.exists(path) and not args.force:
             raise ValueError(f"refusing to overwrite {path} (use --force)")
@@ -151,6 +153,9 @@ def cmd_boundary(args) -> int:
             (g, analytic.mu0_sliver(args.n, g, J=args.J))
             for g in _gamma_samples(args)
         ]
+    for gamma0, omega in points:
+        if not (math.isfinite(gamma0) and math.isfinite(omega)):
+            raise ValueError(f"the curve leaves double range at gamma0={_fmt(gamma0)}")
     print("gamma0,omega")
     for gamma0, omega in points:
         print(f"{_fmt(gamma0)},{_fmt(omega)}")

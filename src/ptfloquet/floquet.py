@@ -5,15 +5,16 @@ of two closed-form exponentials, each with a real diagonal and an imaginary
 off-diagonal; the kernel carries their real numbers, and the half trace is
 real.  Everything here is a pure function of the drive parameters.
 
-The kernel comes in two forms that do the same arithmetic: _evaluate for
-one drive (classify, threshold scans) and _evaluate_row for one gamma0 row
-of a grid (the sweep engine), with numpy for the correctly rounded
-operations and math for every transcendental, element by element.  They
+The kernel comes in two forms: _evaluate for one drive (classify, threshold
+scans) and _evaluate_row for one gamma0 row of a grid (the sweep engine).
+The row form does the common case with the same arithmetic (numpy for the
+correctly rounded operations, math for every transcendental, element by
+element) and hands every cell it cannot settle to _evaluate, so the two
 agree bit for bit (test_sweep_matches_pointwise_classify pins this).
-Where the double-precision half trace lies within its rounding-noise bound
-of +-1, both replace it by the extended-precision value from the precise
-module, so every verdict rests on a resolved trace.  A half trace beyond
-double range is +-inf; one that comes out NaN raises ValueError.
+_evaluate replaces a half trace within its rounding-noise bound of +-1 by
+the extended-precision value from the precise module, so every verdict
+rests on a resolved trace.  A half trace beyond double range is +-inf;
+monodromy entries beyond it raise ValueError.
 """
 
 import cmath
@@ -168,32 +169,32 @@ def _evaluate(J, gamma0, mu, omega):
     """Scalar kernel of classify and threshold_scan: the real monodromy
     numbers, the half trace h, the amplification rate c and the phase code
     (Unbroken for |h| <= 1, Exceptional for 1 < |h| <= 1 + DEFAULT_TOL,
-    Broken beyond).  _evaluate_row does the same arithmetic for a grid row.
+    Broken beyond), and of every grid cell that _evaluate_row hands over.
 
     c follows from h alone, because the determinant is structurally 1
     (exact for this product of unit-determinant factors); the entries'
     own cancellation noise, which grows like the squared entry scale and
     would scramble strongly amplifying cells, never enters.  A half trace
     within trace_noise of +-1 is re-evaluated in extended precision first;
-    where the bound itself overflows, the double-precision value stands.
-    A NaN half trace (entries beyond double range) raises ValueError.
+    where that bound overflows, even in units of u, the double-precision
+    value stands.  Entries beyond double range raise ValueError.
     """
-    entries = _monodromy_entries(J, gamma0, mu, omega)
+    try:
+        entries = _monodromy_entries(J, gamma0, mu, omega)
+    except OverflowError:  # from math.sinh or math.cosh
+        entries = (math.nan,) * 4
     half_trace = 0.5 * (entries[0] + entries[3])
     if math.isnan(half_trace):
-        raise _nan_error(J, gamma0, mu, omega)
+        raise ValueError(
+            f"monodromy entries exceed double range at gamma0={gamma0!r}, "
+            f"mu={mu!r}, omega={omega!r}, J={J!r}"
+        )
     noise = trace_noise(J, gamma0, mu, omega)
-    if abs(abs(half_trace) - 1.0) <= noise < math.inf:
-        half_trace = precise.half_trace(J, gamma0, mu, omega, noise / _UNIT_ROUNDOFF)
+    amplification = noise / _UNIT_ROUNDOFF
+    if abs(abs(half_trace) - 1.0) <= noise and amplification < math.inf:
+        half_trace = precise.half_trace(J, gamma0, mu, omega, amplification)
     c = _amp_rate_from_half_trace(half_trace)
     return entries, half_trace, c, _phase_code(half_trace)
-
-
-def _nan_error(J, gamma0, mu, omega):
-    return ValueError(
-        f"half trace is NaN at gamma0={gamma0!r}, mu={mu!r}, omega={omega!r}, "
-        f"J={J!r}: the monodromy entries exceed double range"
-    )
 
 
 def _math_map(fn, x):
@@ -203,23 +204,25 @@ def _math_map(fn, x):
 
 
 def _half_step_row(J, gamma, tau):
-    """_half_step over an array of tau, with the same arithmetic."""
+    """_half_step over an array of tau, direct form only: NaN where x = k tau
+    lies below SERIES_CUTOFF, as the series form is _evaluate's."""
     rr = J * J - gamma * gamma
     k = math.sqrt(abs(rr))
     x = k * tau
     if rr >= 0.0:
-        cos, sin, x2 = math.cos, math.sin, -x * x
+        cos, sin = math.cos, math.sin
     else:
-        cos, sin, x2 = math.cosh, math.sinh, x * x
-    s = tau * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
-    direct = ~(x < SERIES_CUTOFF)
-    s[direct] = _math_map(sin, x[direct]) / k
+        cos, sin = math.cosh, math.sinh
+    s = _math_map(sin, x) / k
+    s[x < SERIES_CUTOFF] = math.nan
     c = _math_map(cos, x)
     return c + gamma * s, J * s, c - gamma * s
 
 
 def _trace_noise_row(J, gamma0, mu, tau):
-    """trace_noise over an array of tau, with the same arithmetic."""
+    """trace_noise over an array of tau, rounded up by 1 + 2^-40 past the
+    few-ulp difference of numpy's exp from math.exp; it only picks the cells
+    to hand to _evaluate, so it may lie above trace_noise but never below."""
     growth, poly, amp = np.zeros_like(tau), 1.0, 1.0
     for gamma in (gamma0, abs(mu) * gamma0):
         rr = abs(J * J - gamma * gamma)
@@ -230,47 +233,35 @@ def _trace_noise_row(J, gamma0, mu, tau):
         amp += (J * J + gamma * gamma) * np.where(
             rr * tau * tau > 1.0, inv_rr, tau * tau
         )
-    noise = np.full_like(tau, math.inf)
-    bounded = ~(growth > 700.0)
-    noise[bounded] = (
-        16.0 * _UNIT_ROUNDOFF * _math_map(math.exp, growth[bounded])
-        * poly[bounded] * amp[bounded]
-    )
-    return noise
+    return 16.0 * _UNIT_ROUNDOFF * (1.0 + 2.0**-40) * np.exp(growth) * poly * amp
 
 
 def _evaluate_row(J, gamma0, mu, omega_axis):
     """_evaluate for one gamma0 over a float64 array of omega, as arrays
-    (half_trace, c, code), with the same rule on |h|: Unbroken for |h| <= 1,
-    Exceptional up to 1 + DEFAULT_TOL, Broken beyond.  Each cell is
-    bit-identical to _evaluate's."""
+    (half_trace, c, code).  The row settles the common cells and overwrites
+    every other with _evaluate's result, so each cell is bit-identical to
+    _evaluate's: a series half step, a half trace NaN or within the row's
+    noise bound of +-1, and each cell of a row whose half step overflows."""
     tau = math.pi / omega_axis
     with np.errstate(all="ignore"):  # overflow to inf is expected, as in floats
-        a00, a01, a11 = _half_step_row(J, gamma0, tau)
-        b00, b01, b11 = _half_step_row(J, mu * gamma0, tau)
-        half_trace = 0.5 * ((b00 * a00 - b01 * a01) + (b11 * a11 - b01 * a01))
-        nan = np.isnan(half_trace)
-        if nan.any():
-            raise _nan_error(J, gamma0, mu, float(omega_axis[nan.argmax()]))
+        try:
+            a00, a01, a11 = _half_step_row(J, gamma0, tau)
+            b00, b01, b11 = _half_step_row(J, mu * gamma0, tau)
+            half_trace = 0.5 * ((b00 * a00 - b01 * a01) + (b11 * a11 - b01 * a01))
+        except OverflowError:  # from math.sinh or math.cosh
+            half_trace = np.full_like(tau, math.nan)
         noise = _trace_noise_row(J, gamma0, mu, tau)
-        flagged = (np.abs(np.abs(half_trace) - 1.0) <= noise) & (noise < math.inf)
-        for j in np.flatnonzero(flagged).tolist():
-            half_trace[j] = precise.half_trace(
-                J, gamma0, mu, float(omega_axis[j]), float(noise[j]) / _UNIT_ROUNDOFF
-            )
+        hard = ~(np.abs(np.abs(half_trace) - 1.0) > noise)  # NaN is hard too
         h = np.abs(half_trace)
         big = h + np.sqrt(h * h - 1.0)
+        # fmin drops the NaN of inf/inf where big overflows
         c = np.where(
-            h <= 1.0,
-            0.0,
-            np.where(
-                np.isinf(big),
-                _ONE_MINUS_ULP,
-                np.minimum((big - 1.0 / big) / (big + 1.0 / big), _ONE_MINUS_ULP),
-            ),
+            h <= 1.0, 0.0, np.fmin((big - 1.0 / big) / (big + 1.0 / big), _ONE_MINUS_ULP)
         )
     code = np.where(h - 1.0 <= DEFAULT_TOL, EXCEPTIONAL_CODE, BROKEN_CODE)
     code[h <= 1.0] = UNBROKEN_CODE
+    for j in np.flatnonzero(hard).tolist():
+        _, half_trace[j], c[j], code[j] = _evaluate(J, gamma0, mu, float(omega_axis[j]))
     return half_trace, c, code
 
 
@@ -338,12 +329,13 @@ def classify(spec: DrivingSpec) -> FloquetResult:
 
     The phase follows from the half trace h = tr/2 alone: Unbroken when
     |h| <= 1 (c == 0), Exceptional in the fixed band 1 < |h| <= 1 +
-    DEFAULT_TOL next to the boundary, Broken beyond.  Where h is beyond
-    double range (+-inf), g_plus = h, g_minus = 1/h and Im eps_f = inf.
+    DEFAULT_TOL next to the boundary, Broken beyond.  For |h| >= 2^27 the
+    roots are g_plus = 2h and g_minus = 0.5/h, exactly as quadratic_roots
+    gives them wherever h*h stays finite; h = +-inf has Im eps_f = inf.
     """
     entries, half_trace, c, code = _evaluate(spec.J, spec.gamma0, spec.mu, spec.omega)
-    if math.isinf(half_trace):
-        g_plus, g_minus = complex(half_trace), complex(1.0 / half_trace)
+    if abs(half_trace) >= 2.0**27:
+        g_plus, g_minus = complex(2.0 * half_trace), 0.5 / complex(half_trace)
     else:
         g_plus, g_minus = quadratic_roots(complex(half_trace), 1.0 + 0j)
     return FloquetResult(

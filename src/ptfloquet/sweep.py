@@ -2,9 +2,10 @@
 
 A grid is evaluated one gamma0 row at a time by the row kernel
 floquet._evaluate_row; threshold scans, like classify, evaluate one drive
-at a time with the scalar kernel floquet._evaluate.  The two kernels do the
-same arithmetic, so a grid cell and a classify call on the same drive
-agree bit for bit.
+at a time with the scalar kernel floquet._evaluate.  The row kernel does
+the common cells with the same arithmetic and hands every other to the
+scalar one, so a grid cell and a classify call on the same drive agree bit
+for bit.
 """
 
 from dataclasses import dataclass

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ def _reject_constant(name):
 
 def test_classify_json_document(capsys):
     # the key list is fixed; a float beyond double range is written as null
-    # (the two saturated drives: c = 1 - ulp, and |g_plus| or h overflow)
+    # (the two saturated drives have c = 1 - ulp; at the first h overflows,
+    # at the second only h*h does, and g+- = 2h, 1/(2h) stay finite)
     for gamma0, mu, omega, nulls in [
         ("0.5", "1", "3", []),
         ("10", "-1", "0.05", ["eps_f_im", "trace_half", "g_plus_abs"]),
-        ("4", "-1", "0.035", ["g_plus_abs"]),
+        ("4", "-1", "0.035", []),
     ]:
         code, out, err = run_cli(
             capsys, "classify", "--gamma0", gamma0, "--mu", mu, "--omega", omega
@@ -54,12 +56,17 @@ def test_classify_json_document(capsys):
             "g_plus_abs",
             "g_minus_abs",
         ]
-        if nulls:
-            assert doc["phase"] == "Broken" and doc["c"] == math.nextafter(1.0, 0.0)
-            assert doc["g_minus_abs"] == 0.0
-        else:
+        if gamma0 == "0.5":
             assert doc["phase"] == "Unbroken"
             assert doc["c"] <= 1e-12
+        else:
+            assert doc["phase"] == "Broken" and doc["c"] == math.nextafter(1.0, 0.0)
+        if gamma0 == "10":
+            assert doc["g_minus_abs"] == 0.0
+        if gamma0 == "4":
+            assert doc["trace_half"] == pytest.approx(-3.003022173458965e300)
+            assert doc["g_plus_abs"] == -2.0 * doc["trace_half"]
+            assert doc["g_minus_abs"] == -0.5 / doc["trace_half"]
 
 
 def test_classify_broken_resonance_and_passive(capsys):
@@ -111,6 +118,13 @@ def test_classify_invalid_parameters_exit_2(capsys):
         assert "Traceback" not in err
         if value in ("inf", "1e200", "1e-310"):
             assert flag.lstrip("-") in err
+    # a half step beyond double range (math.sinh overflows) names the drive
+    code, out, err = run_cli(
+        capsys, "classify", "--gamma0", "3", "--mu", "0", "--omega", "0.01"
+    )
+    assert code == 2 and out == ""
+    assert "gamma0=3.0, mu=0.0, omega=0.01" in err
+    assert "\n" not in err.strip() and "Traceback" not in err
 
 
 def test_sweep_csv_format_and_round_trip(tmp_path, capsys):
@@ -162,8 +176,15 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
     # each refused with one line, and none of them leaves a CSV behind
     ppm_file = tmp_path / "taken.ppm"
     ppm_file.write_bytes(b"")
+    same = str(tmp_path / "." / "grid.csv")
     for extra, needle in [
         (["--omega-min", "1e-310", "--out", str(out_file)], "omega"),
+        # the gamma0 = 2 row's half step overflows at omega = 1e-300
+        (["--omega-min", "1e-300", "--gamma-steps", "3", "--omega-steps", "3",
+          "--out", str(out_file)], "gamma0=2.0"),
+        # one path for both outputs is refused, with or without --force
+        (["--out", str(out_file), "--ppm", same], "same file"),
+        (["--out", str(out_file), "--ppm", same, "--force"], "same file"),
         (["--out", str(out_file), "--ppm", str(ppm_file)], "overwrite"),
         (["--out", str(tmp_path / "missing" / "grid.csv")], "missing"),
         # the CSV is written first, then the PPM fails: the CSV is removed
@@ -301,6 +322,16 @@ def test_boundary_rejects_bad_indices(capsys):
         assert code == 2 and out == ""
         assert "--J" in err and "\n" not in err.strip()
         assert "Traceback" not in err
+    # a curve point beyond double range is refused, naming its gamma0
+    for argv, needle in [
+        (["--kind", "unbroken-ellipse", "--n", "3", "--samples", "2", "--J", "1e300"],
+         "gamma0=0.0"),
+        (["--kind", "asymptotic", "--samples", "2",
+          "--gamma-max", "1.7976931348623157e308", "--J", "2e-5"], "gamma0="),
+    ]:
+        code, out, err = run_cli(capsys, "boundary", *argv)
+        assert code == 2 and out == "" and needle in err, argv
+        assert "\n" not in err.strip() and "Traceback" not in err
     # the curve families live on gamma0 > J: --gamma-min lies in (J, --gamma-max]
     for kind, extra in [
         ("asymptotic", ["--gamma-min", "0", "--gamma-max", "2", "--samples", "3"]),
@@ -339,3 +370,81 @@ def test_module_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
+
+
+# extreme, non-finite and near-overflow values for the seeded CLI fuzz
+_FUZZ_VALUES = (
+    0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e-310, 1e300, -1e300,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+    0.03, 1e9, 1.0, -1.0, 0.5, 2.0**27, 1.34e154,
+)
+
+
+def _fuzz_value(rng, lo=1e-3, hi=1e3):
+    if rng.random() < 0.4:
+        return repr(_FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))])
+    return repr(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def _fuzz_argv(rng, out_file):
+    """One CLI call; every value goes as --flag=value, so that argparse
+    takes a negative number for a value, not for an option."""
+    command = ("classify", "sweep", "boundary")[rng.integers(3)]
+    argv = [command]
+
+    def flag(name, value, p=1.0):
+        if rng.random() < p:
+            argv.append(f"--{name}={value}")
+
+    mu = _fuzz_value(rng) if rng.random() < 0.2 else repr(rng.uniform(-1.0, 1.0))
+    flag("J", _fuzz_value(rng, 0.1, 10.0), 0.3)
+    if command == "classify":
+        flag("gamma0", _fuzz_value(rng))
+        flag("mu", mu)
+        flag("omega", _fuzz_value(rng))
+        if rng.random() < 0.2:
+            argv.append("--passive")
+    elif command == "sweep":
+        flag("mu", mu)
+        for name in ("gamma-min", "gamma-max", "omega-min", "omega-max"):
+            flag(name, _fuzz_value(rng), 0.6)
+        for name in ("gamma-steps", "omega-steps"):
+            flag(name, int(rng.integers(-1, 5)) if rng.random() < 0.2 else 4)
+        argv += [f"--out={out_file}", "--force"]
+        if rng.random() < 0.2:
+            argv.append(f"--ppm={out_file}{'.ppm' if rng.random() < 0.5 else ''}")
+    else:
+        kinds = ("unbroken-ellipse", "broken-ellipse", "asymptotic", "mu0-sliver")
+        flag("kind", kinds[rng.integers(len(kinds))])
+        flag("n", int(rng.integers(-1, 8)), 0.8)
+        flag("samples", int(rng.integers(-1, 5)) if rng.random() < 0.2 else 4)
+        for name in ("gamma-min", "gamma-max"):
+            flag(name, _fuzz_value(rng), 0.5)
+    return argv
+
+
+def test_cli_contract_fuzz(tmp_path, capsys):
+    # every accepted input ends with exit 0, 2 or 3 and never a traceback;
+    # exit 0 comes only with valid JSON, c in [0, 1) and finite curves
+    rng = np.random.default_rng(20260)
+    out_file = tmp_path / "fuzz.csv"
+    for _ in range(800):
+        argv = _fuzz_argv(rng, out_file)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5.0, argv
+        assert code in (0, 2, 3), argv
+        if code != 0:
+            assert out == "" and "\n" not in err.strip() and "Traceback" not in err
+            continue
+        if argv[0] == "classify":
+            doc = json.loads(out, parse_constant=_reject_constant)
+            assert doc["trace_half"] is None or doc["g_plus_abs"] is not None, argv
+        elif argv[0] == "sweep":
+            text = out_file.read_bytes().decode("ascii", "replace")
+            assert text.startswith("# pt-floquet sweep "), argv
+            rows = text.splitlines()[2:]
+            assert all(0.0 <= float(row.split(",")[2]) < 1.0 for row in rows), argv
+        else:
+            for row in out.splitlines()[1:]:
+                assert all(math.isfinite(float(v)) for v in row.split(",")), argv

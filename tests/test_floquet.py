@@ -155,6 +155,18 @@ def test_classify_examples():
     assert r.c == math.nextafter(1.0, 0.0)
     assert r.g_plus == -math.inf and r.g_minus == 0.0
     assert r.eps_f == complex(0.025, math.inf)
+    # h finite but h*h beyond double range: g+- are 2h and 1/(2h), finite
+    r = classify(DrivingSpec(4.0, -1.0, 0.035))
+    assert r.half_trace == pytest.approx(-3.003022173458965e300)
+    assert r.g_plus == 2.0 * r.half_trace and r.g_minus == 0.5 / r.half_trace
+    assert math.isfinite(abs(r.g_plus)) and r.g_minus != 0.0
+    # a noise bound whose amplification (bound / u) overflows leaves the
+    # double-precision trace standing, as an overflowing bound does
+    r = classify(DrivingSpec(0.0, 0.0, 1.0, J=1e153))
+    assert r.phase is PhaseClass.UNBROKEN and abs(r.half_trace) <= 1.0
+    # a half step beyond double range names the drive, as a NaN trace does
+    with pytest.raises(ValueError, match="gamma0=3.0, mu=0.0, omega=0.01"):
+        classify(DrivingSpec(3.0, 0.0, 0.01))
     # a NaN half trace from finite input names the drive
     with pytest.raises(ValueError, match="gamma0=1e\\+200"):
         classify(DrivingSpec(1e200, 1.0, 1.0))

@@ -14,8 +14,8 @@ from ptfloquet import (
     sweep_grid,
     threshold_scan,
 )
-from ptfloquet import precise
-from ptfloquet.floquet import BROKEN_CODE, UNBROKEN_CODE
+from ptfloquet import floquet, precise
+from ptfloquet.floquet import BROKEN_CODE, UNBROKEN_CODE, _trace_noise_row, trace_noise
 
 
 def test_grid_axis_exact_endpoints_and_refinement():
@@ -73,6 +73,48 @@ def test_sweep_matches_pointwise_classify(monkeypatch):
                 assert grid.phase_at(i, j) is r.phase
     assert series_rows > 0 and saturated > 0
     assert precise_calls.count((0.0, 0.1)) == 2  # once per kernel
+
+
+def test_row_hands_every_hard_cell_to_the_scalar_kernel(monkeypatch):
+    # the row form settles a cell itself only where ||h| - 1| exceeds its
+    # own noise bound, so that bound may round up but must never fall below
+    # trace_noise wherever trace_noise is finite
+    cases = [
+        (-1.0, (0.0, 4.0, 400), (0.1, 6.0, 400)),  # a figure panel
+        (-1.0, (3.0, 10.0, 30), (0.01, 0.1, 30)),  # growth exponents past 700
+        (0.5, (0.0, 4.0, 9), (0.05, 6.0, 30)),  # rows gamma0 = J, mu gamma0 = J
+    ]
+    finite = infinite = 0
+    for mu, gamma_range, omega_range in cases:
+        omega_axis = grid_axis(*omega_range)
+        for gamma0 in grid_axis(*gamma_range).tolist():
+            with np.errstate(over="ignore"):
+                row = _trace_noise_row(1.0, gamma0, mu, math.pi / omega_axis)
+            for omega, bound in zip(omega_axis.tolist(), row.tolist()):
+                noise = trace_noise(1.0, gamma0, mu, omega)
+                if noise < math.inf:
+                    finite += 1
+                    assert bound >= noise, (gamma0, mu, omega)
+                else:
+                    infinite += 1
+    assert finite > 0 and infinite > 0
+
+    real_evaluate = floquet._evaluate
+    handed = []
+
+    def counted_evaluate(J, gamma0, mu, omega):
+        handed.append((gamma0, omega))
+        return real_evaluate(J, gamma0, mu, omega)
+
+    monkeypatch.setattr(floquet, "_evaluate", counted_evaluate)
+    # on a figure panel only the corner, whose h is 1.0, is handed over
+    sweep_grid(-1.0, 1.0, (0.0, 4.0, 400), (0.1, 6.0, 400))
+    assert handed == [(0.0, 0.1)]
+    # the series half step is _evaluate's: both series rows go cell by cell
+    handed.clear()
+    grid = sweep_grid(0.5, 1.0, (0.0, 4.0, 9), (0.05, 6.0, 30))
+    for gamma0 in (1.0, 2.0):
+        assert [o for g, o in handed if g == gamma0] == grid.omega_axis.tolist()
 
 
 def test_static_drive_classes_are_frequency_independent():
