@@ -10,16 +10,19 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
 
 from . import analytic
 from .errors import ConsistencyError
-from .floquet import EXCEPTIONAL_CODE, classify, passive_monodromy
+from .floquet import (
+    DEFAULT_TOL, EXCEPTIONAL_CODE, PHASE_BY_CODE, classify, passive_monodromy
+)
 from .model import DrivingSpec
 from .pauli import eigenvalues2
-from .sweep import PHASE_BY_CODE, PhaseGrid, sweep_grid
+from .sweep import PhaseGrid, sweep_grid
 
 CSV_COLUMNS = "gamma0,omega,c,phase,trace_half"
 
@@ -33,7 +36,7 @@ def render_sweep_csv(grid: PhaseGrid) -> str:
     """CSV document for a sweep: tagged header line, column header, then one
     row per cell in gamma-major order."""
     lines = [
-        f"# pt-floquet sweep mu={_fmt(grid.mu)} J={_fmt(grid.J)} tol={_fmt(grid.tol)}",
+        f"# pt-floquet sweep mu={_fmt(grid.mu)} J={_fmt(grid.J)} tol={_fmt(DEFAULT_TOL)}",
         CSV_COLUMNS,
     ]
     phase_names = [p.value for p in PHASE_BY_CODE]
@@ -105,25 +108,34 @@ def cmd_sweep(args) -> int:
     for path in (args.out, args.ppm):
         if path is not None and os.path.exists(path) and not args.force:
             raise ValueError(f"refusing to overwrite {path} (use --force)")
+        # a rename onto a directory fails, maybe after the other output's rename
+        if path is not None and os.path.isdir(os.path.realpath(path)):
+            raise ValueError(f"refusing to replace the directory {os.path.realpath(path)}")
     grid = sweep_grid(
         mu=args.mu,
         J=args.J,
         gamma_range=(args.gamma_min, args.gamma_max, args.gamma_steps),
         omega_range=(args.omega_min, args.omega_max, args.omega_steps),
     )
-    # all or nothing: a failed write removes what this call already wrote
-    written = []
+    # all or nothing: outputs are staged beside their targets and renamed into
+    # place once every write has succeeded, so a failure leaves existing files
+    renders = {args.out: lambda: render_sweep_csv(grid).encode("ascii")}
+    if args.ppm is not None:
+        renders[args.ppm] = lambda: render_ppm(grid)
+    staged = {}
     try:
-        with open(args.out, "w", newline="\n") as fh:
-            written.append(args.out)
-            fh.write(render_sweep_csv(grid))
-        if args.ppm is not None:
-            with open(args.ppm, "wb") as fh:
-                written.append(args.ppm)
-                fh.write(render_ppm(grid))
+        for path, render in renders.items():
+            target = os.path.realpath(path)  # through a symlink, as open() writes
+            with open(f"{target}.{os.getpid()}.part", "xb") as fh:  # mode as open()'s
+                staged[fh.name] = target
+                fh.write(render())
+            if os.path.exists(target):  # an overwritten file keeps its mode
+                shutil.copymode(target, fh.name)
+        for part, target in staged.items():
+            os.replace(part, target)
     except BaseException:
-        for path in set(written):
-            os.remove(path)
+        for part in filter(os.path.exists, staged):  # renamed ones are gone
+            os.remove(part)
         raise
     return 0
 

@@ -40,16 +40,15 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 @dataclass(frozen=True)
 class FloquetResult:
-    """Classification of one drive: monodromy operator, its eigenvalue pair
+    """Classification of one drive: the eigenvalue pair of its monodromy
     (|g_plus| >= |g_minus|, product 1), the quasienergy representative with
     Re in [0, omega/2] and Im >= 0, the amplification rate c and the phase.
 
     half_trace is the trace half the verdict rests on.  It equals
-    tr(monodromy)/2 unless that value lay within its rounding noise of +-1,
-    where it is the extended-precision value instead.
+    tr(monodromy(spec))/2 unless that value lay within its rounding noise of
+    +-1, where it is the extended-precision value instead.
     """
 
-    monodromy: np.ndarray
     g_plus: complex
     g_minus: complex
     eps_f: complex
@@ -79,20 +78,6 @@ def _half_step(J, gamma, tau):
         s = sin(x) / k
     c = cos(x)
     return c + gamma * s, J * s, c - gamma * s
-
-
-def _monodromy_entries(J, gamma0, mu, omega):
-    """Real numbers (m00, m01, m10, m11) of G(T) = [[m00, i m01], [i m10, m11]]
-    = G_minus(tau) G_plus(tau); the gamma0 half acts first."""
-    tau = math.pi / omega
-    a00, a01, a11 = _half_step(J, gamma0, tau)
-    b00, b01, b11 = _half_step(J, mu * gamma0, tau)
-    return (
-        b00 * a00 - b01 * a01,
-        b00 * a01 + b01 * a11,
-        b01 * a00 + b11 * a01,
-        b11 * a11 - b01 * a01,
-    )
 
 
 def _amp_rate_from_half_trace(half_trace):
@@ -166,10 +151,10 @@ def trace_noise(J, gamma0, mu, omega) -> float:
 
 
 def _evaluate(J, gamma0, mu, omega):
-    """Scalar kernel of classify and threshold_scan: the real monodromy
-    numbers, the half trace h, the amplification rate c and the phase code
-    (Unbroken for |h| <= 1, Exceptional for 1 < |h| <= 1 + DEFAULT_TOL,
-    Broken beyond), and of every grid cell that _evaluate_row hands over.
+    """Scalar kernel of classify, threshold_scan and every grid cell that
+    _evaluate_row hands over: _evaluate_row's (h, c, code) per cell, by its
+    arithmetic; the half trace, the amplification rate and the phase code
+    (Unbroken for |h| <= 1, Exceptional up to 1 + DEFAULT_TOL, Broken beyond).
 
     c follows from h alone, because the determinant is structurally 1
     (exact for this product of unit-determinant factors); the entries'
@@ -179,11 +164,13 @@ def _evaluate(J, gamma0, mu, omega):
     where that bound overflows, even in units of u, the double-precision
     value stands.  Entries beyond double range raise ValueError.
     """
+    tau = math.pi / omega
     try:
-        entries = _monodromy_entries(J, gamma0, mu, omega)
+        a00, a01, a11 = _half_step(J, gamma0, tau)
+        b00, b01, b11 = _half_step(J, mu * gamma0, tau)
+        half_trace = 0.5 * ((b00 * a00 - b01 * a01) + (b11 * a11 - b01 * a01))
     except OverflowError:  # from math.sinh or math.cosh
-        entries = (math.nan,) * 4
-    half_trace = 0.5 * (entries[0] + entries[3])
+        half_trace = math.nan
     if math.isnan(half_trace):
         raise ValueError(
             f"monodromy entries exceed double range at gamma0={gamma0!r}, "
@@ -194,7 +181,7 @@ def _evaluate(J, gamma0, mu, omega):
     if abs(abs(half_trace) - 1.0) <= noise and amplification < math.inf:
         half_trace = precise.half_trace(J, gamma0, mu, omega, amplification)
     c = _amp_rate_from_half_trace(half_trace)
-    return entries, half_trace, c, _phase_code(half_trace)
+    return half_trace, c, _phase_code(half_trace)
 
 
 def _math_map(fn, x):
@@ -261,17 +248,20 @@ def _evaluate_row(J, gamma0, mu, omega_axis):
     code = np.where(h - 1.0 <= DEFAULT_TOL, EXCEPTIONAL_CODE, BROKEN_CODE)
     code[h <= 1.0] = UNBROKEN_CODE
     for j in np.flatnonzero(hard).tolist():
-        _, half_trace[j], c[j], code[j] = _evaluate(J, gamma0, mu, float(omega_axis[j]))
+        half_trace[j], c[j], code[j] = _evaluate(J, gamma0, mu, float(omega_axis[j]))
     return half_trace, c, code
 
 
-def _matrix(m00, m01, m10, m11):
-    return np.array([[m00, complex(0.0, m01)], [complex(0.0, m10), m11]])
-
-
 def monodromy(spec: DrivingSpec) -> np.ndarray:
-    """One-period propagator of the two-step drive (unit determinant)."""
-    return _matrix(*_monodromy_entries(spec.J, spec.gamma0, spec.mu, spec.omega))
+    """One-period propagator G(T) = G_minus(tau) G_plus(tau) of the two-step
+    drive (unit determinant); the gamma0 half acts first."""
+    tau = spec.tau
+    a00, a01, a11 = _half_step(spec.J, spec.gamma0, tau)
+    b00, b01, b11 = _half_step(spec.J, spec.gamma_minus, tau)
+    return np.array([
+        [b00 * a00 - b01 * a01, complex(0.0, b00 * a01 + b01 * a11)],
+        [complex(0.0, b01 * a00 + b11 * a01), b11 * a11 - b01 * a01],
+    ])
 
 
 def passive_monodromy(spec: DrivingSpec) -> np.ndarray:
@@ -296,11 +286,10 @@ def quasienergy(m, tau) -> complex:
     """
     m = np.asarray(m, dtype=complex)
     half_trace = complex(m[0, 0] + m[1, 1]) / 2.0
-    return _quasienergy_from_half_trace(half_trace, tau)
+    return _quasienergy_from_half_trace(half_trace, tau, math.pi / tau)
 
 
-def _quasienergy_from_half_trace(half_trace, tau):
-    omega = math.pi / tau
+def _quasienergy_from_half_trace(half_trace, tau, omega):
     if math.isinf(half_trace.real) and half_trace.imag == 0.0:
         # beyond double range: cos(2 eps tau) = +-inf has Re(2 eps tau) = 0 or pi
         return complex(0.0 if half_trace.real > 0.0 else omega / 2.0, math.inf)
@@ -325,7 +314,7 @@ def amplification_rate(m) -> float:
 
 
 def classify(spec: DrivingSpec) -> FloquetResult:
-    """Monodromy, eigenvalues, quasienergy, amplification rate and phase.
+    """Eigenvalues, quasienergy, amplification rate and phase of one drive.
 
     The phase follows from the half trace h = tr/2 alone: Unbroken when
     |h| <= 1 (c == 0), Exceptional in the fixed band 1 < |h| <= 1 +
@@ -333,16 +322,15 @@ def classify(spec: DrivingSpec) -> FloquetResult:
     roots are g_plus = 2h and g_minus = 0.5/h, exactly as quadratic_roots
     gives them wherever h*h stays finite; h = +-inf has Im eps_f = inf.
     """
-    entries, half_trace, c, code = _evaluate(spec.J, spec.gamma0, spec.mu, spec.omega)
+    half_trace, c, code = _evaluate(spec.J, spec.gamma0, spec.mu, spec.omega)
     if abs(half_trace) >= 2.0**27:
         g_plus, g_minus = complex(2.0 * half_trace), 0.5 / complex(half_trace)
     else:
         g_plus, g_minus = quadratic_roots(complex(half_trace), 1.0 + 0j)
     return FloquetResult(
-        monodromy=_matrix(*entries),
         g_plus=g_plus,
         g_minus=g_minus,
-        eps_f=_quasienergy_from_half_trace(complex(half_trace), spec.tau),
+        eps_f=_quasienergy_from_half_trace(complex(half_trace), spec.tau, spec.omega),
         c=c,
         phase=PHASE_BY_CODE[code],
         half_trace=half_trace,

@@ -31,6 +31,8 @@ def check_drive(gamma0, mu, omega, J):
             raise ValueError(f"{name} must be finite, got {value}")
     if not J > 0:
         raise ValueError(f"coupling J must be positive, got {J}")
+    if math.isinf(J * J):
+        raise ValueError(f"J * J overflows for J = {J}")
     if not gamma0 >= 0:
         raise ValueError(f"gamma0 must be non-negative, got {gamma0}")
     if not -1.0 <= mu <= 1.0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError
-from .floquet import BROKEN_CODE, DEFAULT_TOL, PHASE_BY_CODE, _evaluate, _evaluate_row
+from .floquet import BROKEN_CODE, PHASE_BY_CODE, _evaluate, _evaluate_row
 from .model import PhaseClass, check_drive
 
 
@@ -23,15 +23,13 @@ class PhaseGrid:
 
     classes holds compact int8 codes; PHASE_BY_CODE (or phase_at) maps them
     back to PhaseClass.  A cell is Unbroken exactly when c == 0, that is
-    |h| <= 1.  tol records the fixed width DEFAULT_TOL of the Exceptional
-    band 1 < |h| <= 1 + tol.
+    |h| <= 1, and Exceptional in the fixed band 1 < |h| <= 1 + DEFAULT_TOL.
     """
 
     gamma_axis: np.ndarray
     omega_axis: np.ndarray
     mu: float
     J: float
-    tol: float
     c_values: np.ndarray
     classes: np.ndarray
     trace_half: np.ndarray
@@ -93,7 +91,6 @@ def sweep_grid(mu, J, gamma_range, omega_range, workers=None) -> PhaseGrid:
         omega_axis=omega_axis,
         mu=mu,
         J=J,
-        tol=DEFAULT_TOL,
         c_values=c_values,
         classes=classes,
         trace_half=trace_half,
@@ -133,5 +130,5 @@ def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
 
 
 def _is_broken(J, gamma0, mu, omega):
-    *_, code = _evaluate(J, gamma0, mu, omega)
+    _, _, code = _evaluate(J, gamma0, mu, omega)
     return code == BROKEN_CODE

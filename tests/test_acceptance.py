@@ -43,7 +43,9 @@ from ptfloquet import (
     unbroken_ellipse,
 )
 from ptfloquet.cli import render_sweep_csv
-from ptfloquet.floquet import BROKEN_CODE, PHASE_BY_CODE, UNBROKEN_CODE, trace_noise
+from ptfloquet.floquet import (
+    BROKEN_CODE, DEFAULT_TOL, PHASE_BY_CODE, UNBROKEN_CODE, trace_noise
+)
 from ptfloquet.pauli import SIGMA_Z
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -424,7 +426,7 @@ def _class_changes(grids):
                 omega = float(grid.omega_axis[j])
                 margin = abs(float(grid.trace_half[i, j])) - 1.0
                 noise = trace_noise(grid.J, gamma0, mu, omega)
-                if min(abs(margin), abs(margin - grid.tol)) <= noise:
+                if min(abs(margin), abs(margin - DEFAULT_TOL)) <= noise:
                     tolerated += 1
                     continue
                 failures.append(

@@ -4,6 +4,7 @@ boundary curves and exit codes."""
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import SRC
 
-from ptfloquet import DrivingSpec, classify
+from ptfloquet import DrivingSpec, classify, monodromy
 from ptfloquet.cli import main, render_ppm, render_sweep_csv
 from ptfloquet.sweep import sweep_grid
 
@@ -36,6 +37,8 @@ def test_classify_json_document(capsys):
         ("0.5", "1", "3", []),
         ("10", "-1", "0.05", ["eps_f_im", "trace_half", "g_plus_abs"]),
         ("4", "-1", "0.035", []),
+        # Re eps_f folds by the given omega, not by pi / tau, which overflows
+        ("0.1", "0", "1.7976931348623157e308", []),
     ]:
         code, out, err = run_cli(
             capsys, "classify", "--gamma0", gamma0, "--mu", mu, "--omega", omega
@@ -56,11 +59,13 @@ def test_classify_json_document(capsys):
             "g_plus_abs",
             "g_minus_abs",
         ]
-        if gamma0 == "0.5":
+        if gamma0 in ("0.5", "0.1"):
             assert doc["phase"] == "Unbroken"
             assert doc["c"] <= 1e-12
         else:
             assert doc["phase"] == "Broken" and doc["c"] == math.nextafter(1.0, 0.0)
+        if gamma0 == "0.1":
+            assert doc["trace_half"] == 1.0 and doc["eps_f_re"] == 0.0
         if gamma0 == "10":
             assert doc["g_minus_abs"] == 0.0
         if gamma0 == "4":
@@ -107,6 +112,7 @@ def test_classify_invalid_parameters_exit_2(capsys):
         ("--J", "inf"),
         ("--gamma0", "1e200"),  # finite, but the half trace comes out NaN
         ("--omega", "1e-310"),  # finite, but the period overflows
+        ("--J", "1e155"),  # finite, but J * J overflows
     ]:
         argv = ["classify"]
         for key, default in {**base, flag: value}.items():
@@ -116,7 +122,7 @@ def test_classify_invalid_parameters_exit_2(capsys):
         assert out == ""
         assert err.strip() != "" and "\n" not in err.strip()
         assert "Traceback" not in err
-        if value in ("inf", "1e200", "1e-310"):
+        if value in ("inf", "1e200", "1e-310", "1e155"):
             assert flag.lstrip("-") in err
     # a half step beyond double range (math.sinh overflows) names the drive
     code, out, err = run_cli(
@@ -151,7 +157,8 @@ def test_sweep_csv_format_and_round_trip(tmp_path, capsys):
         r = classify(spec)
         assert r.phase.value == phase_s
         assert r.c == float(c_s)
-        half_trace = (r.monodromy[0, 0] + r.monodromy[1, 1]).real / 2.0
+        m = monodromy(spec)
+        half_trace = (m[0, 0] + m[1, 1]).real / 2.0
         assert half_trace == float(trace_s)
 
 
@@ -179,6 +186,7 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
     same = str(tmp_path / "." / "grid.csv")
     for extra, needle in [
         (["--omega-min", "1e-310", "--out", str(out_file)], "omega"),
+        (["--J", "1e155", "--out", str(out_file)], "J * J"),
         # the gamma0 = 2 row's half step overflows at omega = 1e-300
         (["--omega-min", "1e-300", "--gamma-steps", "3", "--omega-steps", "3",
           "--out", str(out_file)], "gamma0=2.0"),
@@ -209,6 +217,40 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
     code, _, err = run_cli(capsys, *good)
     assert code == 2 and "overwrite" in err
     assert run_cli(capsys, *good, "--force")[0] == 0
+
+
+def test_failed_sweep_leaves_existing_outputs_untouched(tmp_path, capsys):
+    # outputs are staged beside their targets and renamed into place only
+    # after every write has succeeded: a PPM that cannot be written leaves
+    # the CSV that --force would replace byte for byte, and no staged file
+    # a PPM path that names a directory is refused before anything is written
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"old bytes\n")
+    (tmp_path / "adir").mkdir()
+    sweep = ["sweep", "--mu", "0", "--gamma-steps", "2", "--omega-steps", "2", "--force"]
+    for ppm, needle in [(tmp_path / "missing" / "x.ppm", "missing"), (tmp_path / "adir", "adir")]:
+        code, out, err = run_cli(capsys, *sweep, "--out", str(old), "--ppm", str(ppm))
+        assert code == 2 and out == "" and needle in err
+        assert "\n" not in err.strip() and "Traceback" not in err
+        assert old.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "old.csv"]
+    (tmp_path / "adir").rmdir()
+
+    # a successful overwrite keeps the file's mode and writes through a
+    # symlink; a new file gets the mode plain open() gives
+    old.chmod(0o640)
+    link, ppm = tmp_path / "link.csv", tmp_path / "new.ppm"
+    link.symlink_to(old)
+    code, _, err = run_cli(capsys, *sweep, "--out", str(link), "--ppm", str(ppm))
+    assert code == 0, err
+    assert link.is_symlink() and old.read_text().startswith("# pt-floquet sweep ")
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    reference = tmp_path / "reference"
+    reference.write_bytes(b"")
+    assert ppm.stat().st_mode == reference.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.csv", "new.ppm", "old.csv", "reference"
+    ]
 
 
 def test_classify_and_sweep_have_no_tol_option(tmp_path):
@@ -380,6 +422,9 @@ _FUZZ_VALUES = (
 )
 
 
+_BARE_LIBM_MESSAGES = ("pt-floquet: math domain error", "pt-floquet: math range error")
+
+
 def _fuzz_value(rng, lo=1e-3, hi=1e3):
     if rng.random() < 0.4:
         return repr(_FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))])
@@ -436,10 +481,13 @@ def test_cli_contract_fuzz(tmp_path, capsys):
         assert code in (0, 2, 3), argv
         if code != 0:
             assert out == "" and "\n" not in err.strip() and "Traceback" not in err
+            # a message names what went wrong, not just the libm function's fault
+            assert err.strip() not in _BARE_LIBM_MESSAGES, argv
             continue
         if argv[0] == "classify":
             doc = json.loads(out, parse_constant=_reject_constant)
             assert doc["trace_half"] is None or doc["g_plus_abs"] is not None, argv
+            assert doc["trace_half"] is None or doc["eps_f_re"] is not None, argv
         elif argv[0] == "sweep":
             text = out_file.read_bytes().decode("ascii", "replace")
             assert text.startswith("# pt-floquet sweep "), argv

@@ -164,6 +164,15 @@ def test_classify_examples():
     # double-precision trace standing, as an overflowing bound does
     r = classify(DrivingSpec(0.0, 0.0, 1.0, J=1e153))
     assert r.phase is PhaseClass.UNBROKEN and abs(r.half_trace) <= 1.0
+    # the largest J of the CLI fuzz test still has a finite square
+    assert abs(classify(DrivingSpec(0.0, 0.0, 1.0, J=1.34e154)).half_trace) <= 1.0
+    # a J whose square overflows is refused up front, naming J
+    with pytest.raises(ValueError, match=r"\bJ\b"):
+        DrivingSpec(0.0, 0.0, 1.0, J=1e155)
+    # eps_f folds by the drive's own omega: at the largest double, pi / tau
+    # would overflow and make Re eps_f NaN
+    r = classify(DrivingSpec(0.1, 0.0, 1.7976931348623157e308))
+    assert r.half_trace == 1.0 and r.eps_f == 0.0
     # a half step beyond double range names the drive, as a NaN trace does
     with pytest.raises(ValueError, match="gamma0=3.0, mu=0.0, omega=0.01"):
         classify(DrivingSpec(3.0, 0.0, 0.01))
@@ -193,11 +202,12 @@ def test_classify_result_invariants():
     rng = np.random.default_rng(33)
     for spec in random_specs(rng, 200, gamma_hi=4.0, omega_lo=0.2, max_growth=40.0):
         r = classify(spec)
-        scale2 = matrix_scale(r.monodromy) ** 2
+        m = monodromy(spec)
+        scale2 = matrix_scale(m) ** 2
         assert abs(r.g_plus * r.g_minus - 1.0) <= 1e-12 * scale2
         assert abs(r.g_plus) >= abs(r.g_minus) * (1.0 - 1e-14)
         assert 0.0 <= r.c < 1.0
-        half_trace = (r.monodromy[0, 0] + r.monodromy[1, 1]) / 2.0
+        half_trace = (m[0, 0] + m[1, 1]) / 2.0
         back = cmath.cos(2.0 * r.eps_f * spec.tau)
         assert abs(back - half_trace) <= 1e-12 * max(1.0, abs(half_trace))
         if r.phase is PhaseClass.UNBROKEN:
@@ -232,7 +242,7 @@ def test_unbroken_wins_inside_band():
     # symmetric point, classified Unbroken rather than Exceptional
     spec = DrivingSpec(gamma0=0.6, mu=-1.0, omega=0.8)
     r = classify(spec)
-    assert np.allclose(r.monodromy, np.eye(2), atol=1e-12)
+    assert np.allclose(monodromy(spec), np.eye(2), atol=1e-12)
     assert r.phase is PhaseClass.UNBROKEN
 
 

@@ -15,7 +15,9 @@ from ptfloquet import (
     threshold_scan,
 )
 from ptfloquet import floquet, precise
-from ptfloquet.floquet import BROKEN_CODE, UNBROKEN_CODE, _trace_noise_row, trace_noise
+from ptfloquet.floquet import (
+    BROKEN_CODE, DEFAULT_TOL, UNBROKEN_CODE, _trace_noise_row, trace_noise
+)
 
 
 def test_grid_axis_exact_endpoints_and_refinement():
@@ -164,7 +166,7 @@ def test_phase_grid_cell_invariants():
     assert grid.c_values.shape == (30, 30) == grid.classes.shape
     assert np.all(grid.c_values >= 0.0) and np.all(grid.c_values < 1.0)
     unbroken = grid.classes == UNBROKEN_CODE
-    np.testing.assert_array_equal(unbroken, grid.c_values <= grid.tol)
+    np.testing.assert_array_equal(unbroken, grid.c_values <= DEFAULT_TOL)
     # c comes from the half trace alone: exactly 0 wherever |h| <= 1, with
     # no rounding noise from an eigenvalue pair on the unit circle
     inside = np.abs(grid.trace_half) <= 1.0
@@ -203,6 +205,7 @@ def test_threshold_scan_rejects_bad_brackets():
         (0.5, 1.0, math.nan, (0.5, 1.5), "omega"),
         (0.5, -1.0, 2.0, (0.5, 1.5), "J"),
         (0.5, 1.0, 2.0, (0.5, math.inf), "gamma0"),
+        (0.5, 1e155, 2.0, (0.5, 1.5), "J"),  # finite, but J * J overflows
     ]:
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             threshold_scan(mu, J, omega, bracket)
