@@ -108,35 +108,41 @@ def cmd_sweep(args) -> int:
     for path in (args.out, args.ppm):
         if path is not None and os.path.exists(path) and not args.force:
             raise ValueError(f"refusing to overwrite {path} (use --force)")
-        # a rename onto a directory fails, maybe after the other output's rename
-        if path is not None and os.path.isdir(os.path.realpath(path)):
-            raise ValueError(f"refusing to replace the directory {os.path.realpath(path)}")
     grid = sweep_grid(
         mu=args.mu,
         J=args.J,
         gamma_range=(args.gamma_min, args.gamma_max, args.gamma_steps),
         omega_range=(args.omega_min, args.omega_max, args.omega_steps),
     )
-    # all or nothing: outputs are staged beside their targets and renamed into
-    # place once every write has succeeded, so a failure leaves existing files
+    # all or nothing: a new or regular-file output is staged beside its
+    # target and renamed into place once every write has succeeded, so a
+    # failure leaves existing files as they were; any other existing target
+    # (a FIFO, a device such as /dev/stdout) cannot be replaced and is
+    # written in place, as plain open() would
     renders = {args.out: lambda: render_sweep_csv(grid).encode("ascii")}
     if args.ppm is not None:
         renders[args.ppm] = lambda: render_ppm(grid)
     staged = {}
     try:
         for path, render in renders.items():
+            if os.path.exists(path) and not os.path.isfile(path):
+                with open(path, "wb") as fh:
+                    fh.write(render())
+                continue
             target = os.path.realpath(path)  # through a symlink, as open() writes
-            with open(f"{target}.{os.getpid()}.part", "xb") as fh:  # mode as open()'s
-                staged[fh.name] = target
+            part = f"{target}.{os.getpid()}.part"
+            with open(part, "xb") as fh:  # mode as open()'s
+                staged[part] = path, target
                 fh.write(render())
             if os.path.exists(target):  # an overwritten file keeps its mode
-                shutil.copymode(target, fh.name)
-        for part, target in staged.items():
+                shutil.copymode(target, part)
+        for part, (path, target) in staged.items():
             os.replace(part, target)
-    except BaseException:
+    except OSError as exc:  # name the user's path, not the staged one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
         for part in filter(os.path.exists, staged):  # renamed ones are gone
             os.remove(part)
-        raise
     return 0
 
 

@@ -80,6 +80,20 @@ def _half_step(J, gamma, tau):
     return c + gamma * s, J * s, c - gamma * s
 
 
+def _monodromy_entries(J, gamma0, mu, omega):
+    """Real numbers (m00, m01, m10, m11) of G(T) = [[m00, i m01], [i m10, m11]]
+    = G_minus(tau) G_plus(tau); the gamma0 half acts first."""
+    tau = math.pi / omega
+    a00, a01, a11 = _half_step(J, gamma0, tau)
+    b00, b01, b11 = _half_step(J, mu * gamma0, tau)
+    return (
+        b00 * a00 - b01 * a01,
+        b00 * a01 + b01 * a11,
+        b01 * a00 + b11 * a01,
+        b11 * a11 - b01 * a01,
+    )
+
+
 def _amp_rate_from_half_trace(half_trace):
     """(|g+| - |g-|)/(|g+| + |g-|) for the eigenvalue pair of a unit-determinant
     matrix with the given real half trace h: exactly 0 for |h| <= 1, where both
@@ -164,11 +178,9 @@ def _evaluate(J, gamma0, mu, omega):
     where that bound overflows, even in units of u, the double-precision
     value stands.  Entries beyond double range raise ValueError.
     """
-    tau = math.pi / omega
     try:
-        a00, a01, a11 = _half_step(J, gamma0, tau)
-        b00, b01, b11 = _half_step(J, mu * gamma0, tau)
-        half_trace = 0.5 * ((b00 * a00 - b01 * a01) + (b11 * a11 - b01 * a01))
+        m00, _, _, m11 = _monodromy_entries(J, gamma0, mu, omega)
+        half_trace = 0.5 * (m00 + m11)
     except OverflowError:  # from math.sinh or math.cosh
         half_trace = math.nan
     if math.isnan(half_trace):
@@ -253,15 +265,9 @@ def _evaluate_row(J, gamma0, mu, omega_axis):
 
 
 def monodromy(spec: DrivingSpec) -> np.ndarray:
-    """One-period propagator G(T) = G_minus(tau) G_plus(tau) of the two-step
-    drive (unit determinant); the gamma0 half acts first."""
-    tau = spec.tau
-    a00, a01, a11 = _half_step(spec.J, spec.gamma0, tau)
-    b00, b01, b11 = _half_step(spec.J, spec.gamma_minus, tau)
-    return np.array([
-        [b00 * a00 - b01 * a01, complex(0.0, b00 * a01 + b01 * a11)],
-        [complex(0.0, b01 * a00 + b11 * a01), b11 * a11 - b01 * a01],
-    ])
+    """One-period propagator of the two-step drive (unit determinant)."""
+    m00, m01, m10, m11 = _monodromy_entries(spec.J, spec.gamma0, spec.mu, spec.omega)
+    return np.array([[m00, complex(0.0, m01)], [complex(0.0, m10), m11]])
 
 
 def passive_monodromy(spec: DrivingSpec) -> np.ndarray:

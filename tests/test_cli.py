@@ -194,9 +194,10 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
         (["--out", str(out_file), "--ppm", same], "same file"),
         (["--out", str(out_file), "--ppm", same, "--force"], "same file"),
         (["--out", str(out_file), "--ppm", str(ppm_file)], "overwrite"),
-        (["--out", str(tmp_path / "missing" / "grid.csv")], "missing"),
-        # the CSV is written first, then the PPM fails: the CSV is removed
-        (["--out", str(out_file), "--ppm", str(tmp_path / "missing" / "x.ppm")], "missing"),
+        (["--out", str(tmp_path / "missing" / "grid.csv")], "missing/grid.csv'"),
+        # the CSV is staged first, then the PPM fails: the staged CSV is removed
+        (["--out", str(out_file), "--ppm", str(tmp_path / "missing" / "x.ppm")],
+         "missing/x.ppm'"),
     ]:
         code, out, err = run_cli(
             capsys, "sweep", "--mu", "0", "--gamma-steps", "2", "--omega-steps", "2",
@@ -222,15 +223,15 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
 def test_failed_sweep_leaves_existing_outputs_untouched(tmp_path, capsys):
     # outputs are staged beside their targets and renamed into place only
     # after every write has succeeded: a PPM that cannot be written leaves
-    # the CSV that --force would replace byte for byte, and no staged file
-    # a PPM path that names a directory is refused before anything is written
+    # the CSV that --force would replace byte for byte, and no staged file;
+    # the error names the path given, not the staged one
     old = tmp_path / "old.csv"
     old.write_bytes(b"old bytes\n")
     (tmp_path / "adir").mkdir()
     sweep = ["sweep", "--mu", "0", "--gamma-steps", "2", "--omega-steps", "2", "--force"]
-    for ppm, needle in [(tmp_path / "missing" / "x.ppm", "missing"), (tmp_path / "adir", "adir")]:
+    for ppm in [tmp_path / "missing" / "x.ppm", tmp_path / "adir"]:
         code, out, err = run_cli(capsys, *sweep, "--out", str(old), "--ppm", str(ppm))
-        assert code == 2 and out == "" and needle in err
+        assert code == 2 and out == "" and f"'{ppm}'" in err and ".part" not in err
         assert "\n" not in err.strip() and "Traceback" not in err
         assert old.read_bytes() == b"old bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "old.csv"]
@@ -251,6 +252,27 @@ def test_failed_sweep_leaves_existing_outputs_untouched(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "link.csv", "new.ppm", "old.csv", "reference"
     ]
+
+
+def test_sweep_writes_a_fifo_in_place(tmp_path, capsys):
+    # an existing target that is not a regular file (a FIFO here, a device
+    # such as /dev/stdout in use) cannot be replaced: it is written in place
+    # and stays what it was
+    fifo = tmp_path / "grid.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+    try:
+        code, _, err = run_cli(
+            capsys, "sweep", "--mu", "0", "--gamma-steps", "2", "--omega-steps", "2",
+            "--out", str(fifo), "--force",
+        )
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0, err
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received.decode("ascii").startswith("# pt-floquet sweep mu=0.0 ")
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.fifo"]
 
 
 def test_classify_and_sweep_have_no_tol_option(tmp_path):
