@@ -18,11 +18,11 @@ import numpy as np
 from . import analytic
 from .errors import ConsistencyError
 from .floquet import (
-    DEFAULT_TOL, EXCEPTIONAL_CODE, PHASE_BY_CODE, classify, passive_monodromy
+    DEFAULT_TOL, EXCEPTIONAL_CODE, PHASE_BY_CODE, _passive_decay, classify
 )
 from .model import DrivingSpec
-from .pauli import eigenvalues2
-from .sweep import PhaseGrid, sweep_grid
+from .sweep import PhaseGrid, iter_rows
+from .sweep import sweep_grid  # not called here: the benchmark wraps cli.sweep_grid
 
 CSV_COLUMNS = "gamma0,omega,c,phase,trace_half"
 
@@ -32,45 +32,56 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def render_sweep_csv(grid: PhaseGrid) -> str:
-    """CSV document for a sweep: tagged header line, column header, then one
-    row per cell in gamma-major order."""
-    lines = [
-        f"# pt-floquet sweep mu={_fmt(grid.mu)} J={_fmt(grid.J)} tol={_fmt(DEFAULT_TOL)}",
-        CSV_COLUMNS,
-    ]
+def _csv_chunks(mu, J, gamma_axis, omega_axis, rows, pixel_rows=None):
+    """The sweep CSV as ASCII chunks: tagged header line and column header,
+    then one chunk per gamma0 row of (half_trace, c, code) arrays, one line
+    per cell in gamma-major order.  Each row's PPM pixels are appended to
+    pixel_rows when it is given."""
+    header = f"# pt-floquet sweep mu={_fmt(mu)} J={_fmt(J)} tol={_fmt(DEFAULT_TOL)}"
+    yield f"{header}\n{CSV_COLUMNS}\n".encode("ascii")
     phase_names = [p.value for p in PHASE_BY_CODE]
-    omega_strs = [_fmt(omega) for omega in grid.omega_axis]
-    for i, gamma0 in enumerate(grid.gamma_axis):
+    omega_strs = [_fmt(omega) for omega in omega_axis.tolist()]
+    for gamma0, (half_trace, c_row, code_row) in zip(gamma_axis.tolist(), rows):
+        if pixel_rows is not None:
+            pixel_rows.append(_ppm_row(c_row, code_row))
         g_str = _fmt(gamma0)
-        row = zip(
-            omega_strs,
-            grid.c_values[i].tolist(),
-            grid.classes[i].tolist(),
-            grid.trace_half[i].tolist(),
-        )
-        lines.extend(
-            f"{g_str},{o_str},{c!r},{phase_names[code]},{h!r}"
-            for o_str, c, code, h in row
-        )
-    lines.append("")
-    return "\n".join(lines)
+        cells = zip(omega_strs, c_row.tolist(), code_row.tolist(), half_trace.tolist())
+        yield "".join([
+            f"{g_str},{o_str},{c!r},{phase_names[code]},{h!r}\n"
+            for o_str, c, code, h in cells
+        ]).encode("ascii")
+
+
+def _ppm_row(c, code) -> bytes:
+    """One gamma0 row of heatmap pixels: R = round(255 c), G = 0,
+    B = round(255 (1 - c)), with Exceptional cells white."""
+    pixels = np.zeros((c.size, 3), dtype=np.uint8)
+    pixels[:, 0] = np.rint(255.0 * c).astype(np.uint8)
+    pixels[:, 2] = np.rint(255.0 * (1.0 - c)).astype(np.uint8)
+    pixels[code == EXCEPTIONAL_CODE] = 255
+    return pixels.tobytes()
+
+
+def _ppm_chunks(n_omega, pixel_rows):
+    """Binary P6 heatmap of the _ppm_row rows in pixel_rows, ascending in
+    gamma0: width = omega steps, height = gamma steps, top row = gamma max.
+    The list is read only once the first chunk is asked for, so it may be
+    filled until then."""
+    yield f"P6\n{n_omega} {len(pixel_rows)}\n255\n".encode("ascii")
+    yield from reversed(pixel_rows)
+
+
+def render_sweep_csv(grid: PhaseGrid) -> str:
+    """CSV document for a sweep: _csv_chunks over the grid's rows, joined."""
+    rows = zip(grid.trace_half, grid.c_values, grid.classes)
+    chunks = _csv_chunks(grid.mu, grid.J, grid.gamma_axis, grid.omega_axis, rows)
+    return b"".join(chunks).decode("ascii")
 
 
 def render_ppm(grid: PhaseGrid) -> bytes:
-    """Binary P6 heatmap: width = omega steps, height = gamma steps, top row
-    = gamma max; R = round(255 c), G = 0, B = round(255 (1 - c)), with
-    Exceptional cells white."""
-    n_gamma, n_omega = grid.shape
-    red = np.rint(255.0 * grid.c_values).astype(np.uint8)
-    blue = np.rint(255.0 * (1.0 - grid.c_values)).astype(np.uint8)
-    pixels = np.zeros((n_gamma, n_omega, 3), dtype=np.uint8)
-    pixels[:, :, 0] = red
-    pixels[:, :, 2] = blue
-    exceptional = grid.classes == EXCEPTIONAL_CODE
-    pixels[exceptional] = (255, 255, 255)
-    header = f"P6\n{n_omega} {n_gamma}\n255\n".encode("ascii")
-    return header + pixels[::-1].tobytes()
+    """PPM heatmap of a sweep: _ppm_chunks over the grid's rows, joined."""
+    pixel_rows = [_ppm_row(c, code) for c, code in zip(grid.c_values, grid.classes)]
+    return b"".join(_ppm_chunks(grid.c_values.shape[1], pixel_rows))
 
 
 def cmd_classify(args) -> int:
@@ -89,9 +100,8 @@ def cmd_classify(args) -> int:
         "g_plus_abs": abs(result.g_plus),
         "g_minus_abs": abs(result.g_minus),
     }
-    if args.passive:
-        g_passive, _ = eigenvalues2(passive_monodromy(spec))
-        doc["spectral_radius"] = abs(g_passive)
+    if args.passive:  # the loss-only twin's eigenvalues are the active ones, decayed
+        doc["spectral_radius"] = _passive_decay(spec) * abs(result.g_plus)
     # JSON has no infinity: a value beyond double range is written as null
     doc = {
         key: None if isinstance(value, float) and not math.isfinite(value) else value
@@ -108,32 +118,34 @@ def cmd_sweep(args) -> int:
     for path in (args.out, args.ppm):
         if path is not None and os.path.exists(path) and not args.force:
             raise ValueError(f"refusing to overwrite {path} (use --force)")
-    grid = sweep_grid(
-        mu=args.mu,
-        J=args.J,
-        gamma_range=(args.gamma_min, args.gamma_max, args.gamma_steps),
-        omega_range=(args.omega_min, args.omega_max, args.omega_steps),
-    )
-    # all or nothing: a new or regular-file output is staged beside its
-    # target and renamed into place once every write has succeeded, so a
-    # failure leaves existing files as they were; any other existing target
-    # (a FIFO, a device such as /dev/stdout) cannot be replaced and is
-    # written in place, as plain open() would
-    renders = {args.out: lambda: render_sweep_csv(grid).encode("ascii")}
+    gamma_range = (args.gamma_min, args.gamma_max, args.gamma_steps)
+    omega_range = (args.omega_min, args.omega_max, args.omega_steps)
+    gamma_axis, omega_axis, rows = iter_rows(args.mu, args.J, gamma_range, omega_range)
+    # each gamma0 row is made as the CSV is written, which keeps only the
+    # row's PPM pixels for the PPM written after it.  All or nothing: a new
+    # or regular-file output is staged beside its target and renamed into
+    # place once every write has succeeded, so a failure leaves existing
+    # files as they were; any other existing target (a FIFO, a device such
+    # as /dev/stdout) cannot be replaced and is written in place, as plain
+    # open() would, and keeps the rows written before a failure
+    pixel_rows = None if args.ppm is None else []
+    renders = {
+        args.out: _csv_chunks(args.mu, args.J, gamma_axis, omega_axis, rows, pixel_rows)
+    }
     if args.ppm is not None:
-        renders[args.ppm] = lambda: render_ppm(grid)
+        renders[args.ppm] = _ppm_chunks(omega_axis.size, pixel_rows)
     staged = {}
     try:
         for path, render in renders.items():
             if os.path.exists(path) and not os.path.isfile(path):
                 with open(path, "wb") as fh:
-                    fh.write(render())
+                    fh.writelines(render)
                 continue
             target = os.path.realpath(path)  # through a symlink, as open() writes
             part = f"{target}.{os.getpid()}.part"
             with open(part, "xb") as fh:  # mode as open()'s
                 staged[part] = path, target
-                fh.write(render())
+                fh.writelines(render)
             if os.path.exists(target):  # an overwritten file keeps its mode
                 shutil.copymode(target, part)
         for part, (path, target) in staged.items():

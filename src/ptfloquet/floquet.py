@@ -278,8 +278,12 @@ def passive_monodromy(spec: DrivingSpec) -> np.ndarray:
     exp(-(|mu| + 1) gamma0 T / 2); eigenvalue ratios, and hence the
     amplification rate, are unchanged.
     """
-    factor = math.exp(-(abs(spec.mu) + 1.0) * spec.gamma0 * spec.period / 2.0)
-    return factor * monodromy(spec)
+    return _passive_decay(spec) * monodromy(spec)
+
+
+def _passive_decay(spec: DrivingSpec) -> float:
+    """The decay factor exp(-(|mu| + 1) gamma0 T / 2) of passive_monodromy."""
+    return math.exp(-(abs(spec.mu) + 1.0) * spec.gamma0 * spec.period / 2.0)
 
 
 def quasienergy(m, tau) -> complex:

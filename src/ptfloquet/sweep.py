@@ -37,10 +37,6 @@ class PhaseGrid:
     def phase_at(self, gamma_index: int, omega_index: int) -> PhaseClass:
         return PHASE_BY_CODE[self.classes[gamma_index, omega_index]]
 
-    @property
-    def shape(self):
-        return self.c_values.shape
-
 
 def grid_axis(lo, hi, count) -> np.ndarray:
     """Exact interpolation nodes lo + k*(hi - lo)/(count - 1).
@@ -58,12 +54,11 @@ def resolve_workers(workers=None) -> int:
     return 1
 
 
-def sweep_grid(mu, J, gamma_range, omega_range, workers=None) -> PhaseGrid:
-    """Classify every node of a (gamma0, omega) grid.
-
-    gamma_range and omega_range are (lo, hi, count) with count >= 2; the
-    omega range must be strictly positive.  workers is ignored (see
-    resolve_workers).
+def iter_rows(mu, J, gamma_range, omega_range):
+    """Check a (gamma0, omega) grid, then return (gamma_axis, omega_axis,
+    rows), where rows lazily yields _evaluate_row's (half_trace, c, code)
+    for each gamma0, ascending.  gamma_range and omega_range are (lo, hi,
+    count) with count >= 2; the omega range must be strictly positive.
     """
     g_lo, g_hi, g_count = gamma_range
     o_lo, o_hi, o_count = omega_range
@@ -77,24 +72,20 @@ def sweep_grid(mu, J, gamma_range, omega_range, workers=None) -> PhaseGrid:
 
     gamma_axis = grid_axis(g_lo, g_hi, g_count)
     omega_axis = grid_axis(o_lo, o_hi, o_count)
+    rows = (_evaluate_row(J, gamma0, mu, omega_axis) for gamma0 in gamma_axis.tolist())
+    return gamma_axis, omega_axis, rows
 
-    c_values = np.empty((g_count, o_count))
-    classes = np.empty((g_count, o_count), dtype=np.int8)
-    trace_half = np.empty((g_count, o_count))
-    for i, gamma0 in enumerate(gamma_axis.tolist()):
-        trace_half[i], c_values[i], classes[i] = _evaluate_row(
-            J, gamma0, mu, omega_axis
-        )
 
-    return PhaseGrid(
-        gamma_axis=gamma_axis,
-        omega_axis=omega_axis,
-        mu=mu,
-        J=J,
-        c_values=c_values,
-        classes=classes,
-        trace_half=trace_half,
-    )
+def sweep_grid(mu, J, gamma_range, omega_range, workers=None) -> PhaseGrid:
+    """Classify every node of a (gamma0, omega) grid from iter_rows, which
+    takes the same ranges.  workers is ignored (see resolve_workers)."""
+    gamma_axis, omega_axis, rows = iter_rows(mu, J, gamma_range, omega_range)
+    shape = (gamma_axis.size, omega_axis.size)
+    c_values, trace_half = np.empty(shape), np.empty(shape)
+    classes = np.empty(shape, dtype=np.int8)
+    for i, row in enumerate(rows):
+        trace_half[i], c_values[i], classes[i] = row
+    return PhaseGrid(gamma_axis, omega_axis, mu, J, c_values, classes, trace_half)
 
 
 def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:

@@ -14,10 +14,11 @@ from ptfloquet import (
     sweep_grid,
     threshold_scan,
 )
-from ptfloquet import floquet, precise
+from ptfloquet import floquet, precise, sweep
 from ptfloquet.floquet import (
     BROKEN_CODE, DEFAULT_TOL, UNBROKEN_CODE, _trace_noise_row, trace_noise
 )
+from ptfloquet.sweep import iter_rows
 
 
 def test_grid_axis_exact_endpoints_and_refinement():
@@ -39,6 +40,36 @@ def test_sweep_validation():
         sweep_grid(1.5, 1.0, (0.0, 1.0, 10), (0.1, 2.0, 10))  # mu out of range
     with pytest.raises(ValueError):
         sweep_grid(0.0, -1.0, (0.0, 1.0, 10), (0.1, 2.0, 10))  # bad coupling
+
+
+def test_iter_rows_checks_first_and_makes_rows_on_demand(monkeypatch):
+    # every grid check runs at the call; a row is made only when asked for,
+    # and sweep_grid holds exactly the rows iter_rows yields
+    with pytest.raises(ValueError):
+        iter_rows(0.0, 1.0, (0.0, 1.0, 1), (0.1, 2.0, 10))
+    with pytest.raises(ValueError):
+        iter_rows(1.5, 1.0, (0.0, 1.0, 10), (0.1, 2.0, 10))
+    made = []
+    real_row = sweep._evaluate_row
+
+    def counted_row(J, gamma0, mu, omega_axis):
+        made.append(gamma0)
+        return real_row(J, gamma0, mu, omega_axis)
+
+    monkeypatch.setattr(sweep, "_evaluate_row", counted_row)
+    gamma_axis, omega_axis, rows = iter_rows(0.5, 1.0, (0.0, 2.0, 5), (0.2, 3.0, 7))
+    assert made == []
+    first = next(rows)
+    assert made == [0.0]
+    collected = [first, *rows]
+    assert made == gamma_axis.tolist()
+    grid = sweep_grid(0.5, 1.0, (0.0, 2.0, 5), (0.2, 3.0, 7))
+    np.testing.assert_array_equal(grid.gamma_axis, gamma_axis)
+    np.testing.assert_array_equal(grid.omega_axis, omega_axis)
+    for i, (h, c, code) in enumerate(collected):
+        assert grid.trace_half[i].tobytes() == h.tobytes()
+        assert grid.c_values[i].tobytes() == c.tobytes()
+        np.testing.assert_array_equal(grid.classes[i], code)
 
 
 def test_sweep_matches_pointwise_classify(monkeypatch):
