@@ -32,18 +32,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _csv_chunks(mu, J, gamma_axis, omega_axis, rows, pixel_rows=None):
+def _csv_chunks(mu, J, gamma_axis, omega_axis, rows):
     """The sweep CSV as ASCII chunks: tagged header line and column header,
     then one chunk per gamma0 row of (half_trace, c, code) arrays, one line
-    per cell in gamma-major order.  Each row's PPM pixels are appended to
-    pixel_rows when it is given."""
+    per cell in gamma-major order."""
     header = f"# pt-floquet sweep mu={_fmt(mu)} J={_fmt(J)} tol={_fmt(DEFAULT_TOL)}"
     yield f"{header}\n{CSV_COLUMNS}\n".encode("ascii")
     phase_names = [p.value for p in PHASE_BY_CODE]
     omega_strs = [_fmt(omega) for omega in omega_axis.tolist()]
     for gamma0, (half_trace, c_row, code_row) in zip(gamma_axis.tolist(), rows):
-        if pixel_rows is not None:
-            pixel_rows.append(_ppm_row(c_row, code_row))
         g_str = _fmt(gamma0)
         cells = zip(omega_strs, c_row.tolist(), code_row.tolist(), half_trace.tolist())
         yield "".join([
@@ -62,12 +59,14 @@ def _ppm_row(c, code) -> bytes:
     return pixels.tobytes()
 
 
-def _ppm_chunks(n_omega, pixel_rows):
-    """Binary P6 heatmap of the _ppm_row rows in pixel_rows, ascending in
-    gamma0: width = omega steps, height = gamma steps, top row = gamma max.
+def _ppm_chunks(n_gamma, n_omega, pixel_rows):
+    """Binary P6 heatmap of the n_gamma _ppm_row rows in pixel_rows, ascending
+    in gamma0: width = omega steps, height = gamma steps, top row = gamma max.
     The list is read only once the first chunk is asked for, so it may be
-    filled until then."""
-    yield f"P6\n{n_omega} {len(pixel_rows)}\n255\n".encode("ascii")
+    filled until then, but must then hold every row."""
+    if len(pixel_rows) != n_gamma:
+        raise ConsistencyError(f"the PPM has {len(pixel_rows)} of {n_gamma} rows")
+    yield f"P6\n{n_omega} {n_gamma}\n255\n".encode("ascii")
     yield from reversed(pixel_rows)
 
 
@@ -81,7 +80,7 @@ def render_sweep_csv(grid: PhaseGrid) -> str:
 def render_ppm(grid: PhaseGrid) -> bytes:
     """PPM heatmap of a sweep: _ppm_chunks over the grid's rows, joined."""
     pixel_rows = [_ppm_row(c, code) for c, code in zip(grid.c_values, grid.classes)]
-    return b"".join(_ppm_chunks(grid.c_values.shape[1], pixel_rows))
+    return b"".join(_ppm_chunks(*grid.c_values.shape, pixel_rows))
 
 
 def cmd_classify(args) -> int:
@@ -121,19 +120,21 @@ def cmd_sweep(args) -> int:
     gamma_range = (args.gamma_min, args.gamma_max, args.gamma_steps)
     omega_range = (args.omega_min, args.omega_max, args.omega_steps)
     gamma_axis, omega_axis, rows = iter_rows(args.mu, args.J, gamma_range, omega_range)
-    # each gamma0 row is made as the CSV is written, which keeps only the
-    # row's PPM pixels for the PPM written after it.  All or nothing: a new
+    # each gamma0 row is made as the CSV is written, and only the row's PPM
+    # pixels are kept, for the PPM written after it.  All or nothing: a new
     # or regular-file output is staged beside its target and renamed into
     # place once every write has succeeded, so a failure leaves existing
     # files as they were; any other existing target (a FIFO, a device such
     # as /dev/stdout) cannot be replaced and is written in place, as plain
     # open() would, and keeps the rows written before a failure
-    pixel_rows = None if args.ppm is None else []
-    renders = {
-        args.out: _csv_chunks(args.mu, args.J, gamma_axis, omega_axis, rows, pixel_rows)
-    }
+    pixel_rows = []
+    def keep_pixels(row):  # a (half_trace, c, code) row, passed on to the CSV
+        pixel_rows.append(_ppm_row(*row[1:]))
+        return row
+    csv_rows = rows if args.ppm is None else map(keep_pixels, rows)
+    renders = {args.out: _csv_chunks(args.mu, args.J, gamma_axis, omega_axis, csv_rows)}
     if args.ppm is not None:
-        renders[args.ppm] = _ppm_chunks(omega_axis.size, pixel_rows)
+        renders[args.ppm] = _ppm_chunks(gamma_axis.size, omega_axis.size, pixel_rows)
     staged = {}
     try:
         for path, render in renders.items():

@@ -15,8 +15,9 @@ import pytest
 
 from conftest import SRC
 
-from ptfloquet import DrivingSpec, classify, monodromy
+from ptfloquet import DrivingSpec, classify, cli, monodromy
 from ptfloquet.cli import main, render_ppm, render_sweep_csv
+from ptfloquet.errors import ConsistencyError
 from ptfloquet.sweep import sweep_grid
 
 
@@ -343,6 +344,16 @@ def test_ppm_pixel_mapping():
             else:
                 expected = (round(255 * c), 0, round(255 * (1 - c)))
             assert tuple(pixels[row, j]) == expected
+
+
+def test_ppm_refuses_a_pixel_list_short_of_its_rows():
+    # sweep fills the PPM's rows as the CSV is written; a PPM read before
+    # the CSV was drained must fail, not write a short image
+    row = cli._ppm_row(np.array([0.0, 1.0]), np.array([0, 1], dtype=np.int8))
+    assert b"".join(cli._ppm_chunks(1, 2, [row])) == b"P6\n2 1\n255\n" + row
+    for pixel_rows in ([], [row, row]):
+        with pytest.raises(ConsistencyError, match=f"the PPM has {len(pixel_rows)} of 1"):
+            next(cli._ppm_chunks(1, 2, pixel_rows))
 
 
 def test_streamed_sweep_bytes_equal_the_library_renderers(tmp_path, capsys):
