@@ -7,6 +7,8 @@ usage, parameters or output paths, 3 internal consistency failure.
 """
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -21,10 +23,13 @@ from .floquet import (
     DEFAULT_TOL, EXCEPTIONAL_CODE, PHASE_BY_CODE, _passive_decay, classify
 )
 from .model import DrivingSpec
-from .sweep import PhaseGrid, iter_rows
-from .sweep import sweep_grid  # not called here: the benchmark wraps cli.sweep_grid
+from .sweep import PhaseGrid, grid_axis, iter_rows
+# not called here, so the benchmark's span around cli.sweep_grid times no
+# sweep; kept only because the benchmark still wraps it by name
+from .sweep import sweep_grid
 
 CSV_COLUMNS = "gamma0,omega,c,phase,trace_half"
+_PHASE_NAMES = [p.value for p in PHASE_BY_CODE]
 
 
 def _fmt(x) -> str:
@@ -32,21 +37,37 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _csv_chunks(mu, J, gamma_axis, omega_axis, rows):
+def _csv_chunks(mu, J, csv_rows):
     """The sweep CSV as ASCII chunks: tagged header line and column header,
-    then one chunk per gamma0 row of (half_trace, c, code) arrays, one line
-    per cell in gamma-major order."""
+    then the _csv_row chunks in csv_rows, one per gamma0 row."""
     header = f"# pt-floquet sweep mu={_fmt(mu)} J={_fmt(J)} tol={_fmt(DEFAULT_TOL)}"
     yield f"{header}\n{CSV_COLUMNS}\n".encode("ascii")
-    phase_names = [p.value for p in PHASE_BY_CODE]
-    omega_strs = [_fmt(omega) for omega in omega_axis.tolist()]
-    for gamma0, (half_trace, c_row, code_row) in zip(gamma_axis.tolist(), rows):
-        g_str = _fmt(gamma0)
-        cells = zip(omega_strs, c_row.tolist(), code_row.tolist(), half_trace.tolist())
-        yield "".join([
-            f"{g_str},{o_str},{c!r},{phase_names[code]},{h!r}\n"
-            for o_str, c, code, h in cells
-        ]).encode("ascii")
+    yield from csv_rows
+
+
+def _csv_row(omega_strs, gamma0, half_trace, c, code) -> bytes:
+    """One gamma0 row of the sweep CSV from its (half_trace, c, code)
+    arrays, one line per cell; omega_strs are the omega axis, _fmt'ed."""
+    g_str = _fmt(gamma0)
+    cells = zip(omega_strs, c.tolist(), code.tolist(), half_trace.tolist())
+    return "".join([
+        f"{g_str},{o_str},{c!r},{_PHASE_NAMES[code]},{h!r}\n"
+        for o_str, c, code, h in cells
+    ]).encode("ascii")
+
+
+@functools.lru_cache(maxsize=1)
+def _omega_strs(omega_range):
+    """The omega axis of a checked (lo, hi, count) range, _fmt'ed: made once
+    per sweep in each process that renders its rows."""
+    return [_fmt(omega) for omega in grid_axis(*omega_range).tolist()]
+
+
+def _render_row(omega_range, gamma0, half_trace, c, code):
+    """cmd_sweep's per_row, bound to its omega range: the row's CSV chunk
+    and its PPM pixels."""
+    csv_row = _csv_row(_omega_strs(omega_range), gamma0, half_trace, c, code)
+    return csv_row, _ppm_row(c, code)
 
 
 def _ppm_row(c, code) -> bytes:
@@ -72,9 +93,10 @@ def _ppm_chunks(n_gamma, n_omega, pixel_rows):
 
 def render_sweep_csv(grid: PhaseGrid) -> str:
     """CSV document for a sweep: _csv_chunks over the grid's rows, joined."""
-    rows = zip(grid.trace_half, grid.c_values, grid.classes)
-    chunks = _csv_chunks(grid.mu, grid.J, grid.gamma_axis, grid.omega_axis, rows)
-    return b"".join(chunks).decode("ascii")
+    omega_strs = [_fmt(omega) for omega in grid.omega_axis.tolist()]
+    rows = zip(grid.gamma_axis.tolist(), grid.trace_half, grid.c_values, grid.classes)
+    csv_rows = (_csv_row(omega_strs, *row) for row in rows)
+    return b"".join(_csv_chunks(grid.mu, grid.J, csv_rows)).decode("ascii")
 
 
 def render_ppm(grid: PhaseGrid) -> bytes:
@@ -119,43 +141,50 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"refusing to overwrite {path} (use --force)")
     gamma_range = (args.gamma_min, args.gamma_max, args.gamma_steps)
     omega_range = (args.omega_min, args.omega_max, args.omega_steps)
-    gamma_axis, omega_axis, rows = iter_rows(args.mu, args.J, gamma_range, omega_range)
-    # each gamma0 row is made as the CSV is written, and only the row's PPM
-    # pixels are kept, for the PPM written after it.  All or nothing: a new
-    # or regular-file output is staged beside its target and renamed into
-    # place once every write has succeeded, so a failure leaves existing
-    # files as they were; any other existing target (a FIFO, a device such
-    # as /dev/stdout) cannot be replaced and is written in place, as plain
-    # open() would, and keeps the rows written before a failure
+    per_row = functools.partial(_render_row, omega_range)
+    gamma_axis, omega_axis, rows = iter_rows(
+        args.mu, args.J, gamma_range, omega_range, per_row
+    )
+    # the sweep's workers make and render each gamma0 row as the CSV is
+    # written, and only the row's PPM pixels are kept, for the PPM written
+    # after it.  All or nothing: a new or regular-file output is staged
+    # beside its target and renamed into place once every write has
+    # succeeded, so a failure leaves existing files as they were; any other
+    # existing target (a FIFO, a device such as /dev/stdout) cannot be
+    # replaced and is written in place, as plain open() would, and keeps the
+    # rows written before a failure
     pixel_rows = []
-    def keep_pixels(row):  # a (half_trace, c, code) row, passed on to the CSV
-        pixel_rows.append(_ppm_row(*row[1:]))
-        return row
-    csv_rows = rows if args.ppm is None else map(keep_pixels, rows)
-    renders = {args.out: _csv_chunks(args.mu, args.J, gamma_axis, omega_axis, csv_rows)}
+    def csv_rows():  # each (csv_row, pixels) of rows, passed on as its CSV
+        for csv_row, pixels in rows:
+            if args.ppm is not None:
+                pixel_rows.append(pixels)
+            yield csv_row
+    renders = {args.out: _csv_chunks(args.mu, args.J, csv_rows())}
     if args.ppm is not None:
         renders[args.ppm] = _ppm_chunks(gamma_axis.size, omega_axis.size, pixel_rows)
     staged = {}
-    try:
-        for path, render in renders.items():
-            if os.path.exists(path) and not os.path.isfile(path):
-                with open(path, "wb") as fh:
+    # closing rows ends its workers on every path, before this returns
+    with contextlib.closing(rows):
+        try:
+            for path, render in renders.items():
+                if os.path.exists(path) and not os.path.isfile(path):
+                    with open(path, "wb") as fh:
+                        fh.writelines(render)
+                    continue
+                target = os.path.realpath(path)  # through a symlink, as open() writes
+                part = f"{target}.{os.getpid()}.part"
+                with open(part, "xb") as fh:  # mode as open()'s
+                    staged[part] = path, target
                     fh.writelines(render)
-                continue
-            target = os.path.realpath(path)  # through a symlink, as open() writes
-            part = f"{target}.{os.getpid()}.part"
-            with open(part, "xb") as fh:  # mode as open()'s
-                staged[part] = path, target
-                fh.writelines(render)
-            if os.path.exists(target):  # an overwritten file keeps its mode
-                shutil.copymode(target, part)
-        for part, (path, target) in staged.items():
-            os.replace(part, target)
-    except OSError as exc:  # name the user's path, not the staged one
-        raise OSError(exc.errno, exc.strerror, path) from None
-    finally:
-        for part in filter(os.path.exists, staged):  # renamed ones are gone
-            os.remove(part)
+                if os.path.exists(target):  # an overwritten file keeps its mode
+                    shutil.copymode(target, part)
+            for part, (path, target) in staged.items():
+                os.replace(part, target)
+        except OSError as exc:  # name the user's path, not the staged one
+            raise OSError(exc.errno, exc.strerror, path) from None
+        finally:
+            for part in filter(os.path.exists, staged):  # renamed ones are gone
+                os.remove(part)
     return 0
 
 

@@ -1,20 +1,28 @@
 """Dense phase-diagram sweeps over (gamma0, omega) and 1-D threshold scans.
 
 A grid is evaluated one gamma0 row at a time by the row kernel
-floquet._evaluate_row; threshold scans, like classify, evaluate one drive
-at a time with the scalar kernel floquet._evaluate.  The row kernel does
-the common cells with the same arithmetic and hands every other to the
-scalar one, so a grid cell and a classify call on the same drive agree bit
-for bit.
+floquet._evaluate_row, in forked workers (iter_rows); threshold scans, like
+classify, evaluate one drive at a time with the scalar kernel
+floquet._evaluate.  The row kernel does the common cells with the same
+arithmetic and hands every other to the scalar one, so a grid cell and a
+classify call on the same drive agree bit for bit.
 """
 
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import BracketError, ConsistencyError
 from .floquet import BROKEN_CODE, PHASE_BY_CODE, _evaluate, _evaluate_row
 from .model import PhaseClass, check_drive
+
+# the length of a worker's message, ahead of its pickle
+_LENGTH = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
@@ -47,18 +55,33 @@ def grid_axis(lo, hi, count) -> np.ndarray:
     return np.array([lo + k * (hi - lo) / (count - 1) for k in range(count)])
 
 
-def resolve_workers(workers=None) -> int:
-    """Always 1: sweeps run in this process.  Kept, with sweep_grid's
-    ignored workers keyword, only because the benchmark's per-layer report
-    (bench/layers.py) still calls both."""
-    return 1
+def resolve_workers() -> int:
+    """How many forked workers make a grid's rows: one per CPU this process
+    may run on, or 1 (rows made in this process) where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def iter_rows(mu, J, gamma_range, omega_range):
+def _row_arrays(gamma0, half_trace, c, code):
+    """iter_rows' default per_row: the row kernel's three arrays."""
+    return half_trace, c, code
+
+
+def iter_rows(mu, J, gamma_range, omega_range, per_row=_row_arrays):
     """Check a (gamma0, omega) grid, then return (gamma_axis, omega_axis,
-    rows), where rows lazily yields _evaluate_row's (half_trace, c, code)
-    for each gamma0, ascending.  gamma_range and omega_range are (lo, hi,
-    count) with count >= 2; the omega range must be strictly positive.
+    rows), where rows lazily yields per_row(gamma0, half_trace, c, code)
+    for each gamma0, ascending, from _evaluate_row's (half_trace, c, code)
+    arrays.  gamma_range and omega_range are (lo, hi, count) with count >= 2;
+    the omega range must be strictly positive.
+
+    The first row asked for forks resolve_workers() workers, which make the
+    rows and run per_row on them (see _forked_rows); per_row must be a
+    top-level function or a functools.partial of one.  An exception raised
+    for a row is raised when that row is asked for, after every row before
+    it.  Close rows to end its workers before it is used up.
     """
     g_lo, g_hi, g_count = gamma_range
     o_lo, o_hi, o_count = omega_range
@@ -72,13 +95,93 @@ def iter_rows(mu, J, gamma_range, omega_range):
 
     gamma_axis = grid_axis(g_lo, g_hi, g_count)
     omega_axis = grid_axis(o_lo, o_hi, o_count)
-    rows = (_evaluate_row(J, gamma0, mu, omega_axis) for gamma0 in gamma_axis.tolist())
-    return gamma_axis, omega_axis, rows
+    make = partial(_make_row, per_row, J, mu, omega_axis)
+    return gamma_axis, omega_axis, _forked_rows(make, gamma_axis.tolist())
+
+
+def _make_row(per_row, J, mu, omega_axis, gamma0):
+    return per_row(gamma0, *_evaluate_row(J, gamma0, mu, omega_axis))
+
+
+def _forked_rows(make, gammas):
+    """Yield make(gamma0) for each of gammas, in order.  With W workers,
+    worker k makes rows k, k + W, k + 2W, ... and sends each down its own
+    pipe; the pipes are read in turn, so a worker runs at most a pipe
+    buffer ahead of the rows taken.  With one worker the rows are made
+    here."""
+    workers = min(resolve_workers(), len(gammas))
+    if workers == 1:
+        yield from map(make, gammas)
+        return
+    readers, pids = [], []
+    done = False
+    try:
+        for k in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            with os.fdopen(write_fd, "wb") as out:  # the parent's copy closes here
+                pid = os.fork()
+                if pid == 0:
+                    _work(out, readers, make, gammas[k::workers])
+            pids.append(pid)
+        for i, gamma0 in enumerate(gammas):
+            made, value = _receive(readers[i % workers], gamma0)
+            if not made:
+                raise value
+            yield value
+        done = True
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            if not done:  # a worker may be a row ahead, or blocked on its pipe
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _work(out, readers, make, gammas):
+    """A forked worker: send make(gamma0) for each of gammas down out, as
+    (True, row), or the exception that stops it as (False, exception), each
+    pickled behind its length.  It ends only through os._exit, so that none
+    of the parent's code runs here: no buffered file is flushed, no atexit
+    handler runs and no caller's finally clause runs."""
+    status = 1
+    try:
+        for reader in readers:  # the parent's read ends, this worker's among them
+            reader.close()
+        for gamma0 in gammas:
+            try:
+                message = True, make(gamma0)
+            except Exception as exc:  # raised in the parent, at this row
+                message = False, exc
+            payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            out.write(_LENGTH.pack(len(payload)))
+            out.write(payload)
+            out.flush()
+            if not message[0]:
+                break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(reader, gamma0):
+    """The next (made, value) message from a worker's pipe."""
+    head = reader.read(_LENGTH.size)
+    if len(head) == _LENGTH.size:
+        (size,) = _LENGTH.unpack(head)
+        payload = reader.read(size)
+        if len(payload) == size:
+            return pickle.loads(payload)
+    raise ConsistencyError(
+        f"the sweep worker making row gamma0={gamma0!r} ended before sending it"
+    )
 
 
 def sweep_grid(mu, J, gamma_range, omega_range, workers=None) -> PhaseGrid:
     """Classify every node of a (gamma0, omega) grid from iter_rows, which
-    takes the same ranges.  workers is ignored (see resolve_workers)."""
+    takes the same ranges.  workers is ignored: iter_rows takes the worker
+    count from resolve_workers()."""
     gamma_axis, omega_axis, rows = iter_rows(mu, J, gamma_range, omega_range)
     shape = (gamma_axis.size, omega_axis.size)
     c_values, trace_half = np.empty(shape), np.empty(shape)

@@ -2,6 +2,8 @@
 and the threshold bisection."""
 
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ptfloquet import (
     threshold_scan,
 )
 from ptfloquet import floquet, precise, sweep
+from ptfloquet.errors import ConsistencyError
 from ptfloquet.floquet import (
     BROKEN_CODE, DEFAULT_TOL, UNBROKEN_CODE, _trace_noise_row, trace_noise
 )
@@ -44,7 +47,9 @@ def test_sweep_validation():
 
 def test_iter_rows_checks_first_and_makes_rows_on_demand(monkeypatch):
     # every grid check runs at the call; a row is made only when asked for,
-    # and sweep_grid holds exactly the rows iter_rows yields
+    # and sweep_grid holds exactly the rows iter_rows yields, at 1 and at 2
+    # workers.  Rows made in forked workers are not counted here, so the
+    # counts are checked at 1 worker
     with pytest.raises(ValueError):
         iter_rows(0.0, 1.0, (0.0, 1.0, 1), (0.1, 2.0, 10))
     with pytest.raises(ValueError):
@@ -57,26 +62,93 @@ def test_iter_rows_checks_first_and_makes_rows_on_demand(monkeypatch):
         return real_row(J, gamma0, mu, omega_axis)
 
     monkeypatch.setattr(sweep, "_evaluate_row", counted_row)
-    gamma_axis, omega_axis, rows = iter_rows(0.5, 1.0, (0.0, 2.0, 5), (0.2, 3.0, 7))
-    assert made == []
-    first = next(rows)
-    assert made == [0.0]
-    collected = [first, *rows]
-    assert made == gamma_axis.tolist()
-    grid = sweep_grid(0.5, 1.0, (0.0, 2.0, 5), (0.2, 3.0, 7))
-    np.testing.assert_array_equal(grid.gamma_axis, gamma_axis)
-    np.testing.assert_array_equal(grid.omega_axis, omega_axis)
-    for i, (h, c, code) in enumerate(collected):
-        assert grid.trace_half[i].tobytes() == h.tobytes()
-        assert grid.c_values[i].tobytes() == c.tobytes()
-        np.testing.assert_array_equal(grid.classes[i], code)
+    for workers in (1, 2):
+        monkeypatch.setattr(sweep, "resolve_workers", lambda: workers)
+        made.clear()
+        gamma_axis, omega_axis, rows = iter_rows(0.5, 1.0, (0.0, 2.0, 5), (0.2, 3.0, 7))
+        assert made == []
+        first = next(rows)
+        if workers == 1:
+            assert made == [0.0]
+        collected = [first, *rows]
+        if workers == 1:
+            assert made == gamma_axis.tolist()
+        grid = sweep_grid(0.5, 1.0, (0.0, 2.0, 5), (0.2, 3.0, 7))
+        np.testing.assert_array_equal(grid.gamma_axis, gamma_axis)
+        np.testing.assert_array_equal(grid.omega_axis, omega_axis)
+        for i, (h, c, code) in enumerate(collected):
+            assert grid.trace_half[i].tobytes() == h.tobytes()
+            assert grid.c_values[i].tobytes() == c.tobytes()
+            np.testing.assert_array_equal(grid.classes[i], code)
+
+
+def _maker_pid(gamma0, half_trace, c, code):
+    """A per_row: the id of the process that made the row."""
+    return os.getpid()
+
+
+def _dies_at_gamma0_1(gamma0, half_trace, c, code):
+    """A per_row whose process ends, sending nothing, at gamma0 = 1."""
+    if gamma0 == 1.0:
+        os._exit(1)
+    return gamma0
+
+
+def test_rows_are_made_in_forked_workers_in_turn(monkeypatch):
+    # one worker per CPU this process may use; with W workers, worker k
+    # makes rows k, k + W, ...; with one, the rows are made here
+    assert sweep.resolve_workers() == len(os.sched_getaffinity(0))
+    ranges = (0.0, 2.0, 5), (0.2, 3.0, 7)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sweep, "resolve_workers", lambda: workers)
+        pids = list(iter_rows(0.5, 1.0, *ranges, per_row=_maker_pid)[2])
+        if workers == 1:
+            assert pids == [os.getpid()] * 5
+        else:
+            assert pids == [pids[i % workers] for i in range(5)]
+            assert len(set(pids[:workers])) == workers and os.getpid() not in pids
+    # a worker that ends without its row fails that row, after the rows before it
+    monkeypatch.setattr(sweep, "resolve_workers", lambda: 2)
+    rows = iter_rows(0.5, 1.0, *ranges, per_row=_dies_at_gamma0_1)[2]
+    assert [next(rows), next(rows)] == [0.0, 0.5]
+    with pytest.raises(ConsistencyError, match="row gamma0=1.0 ended before sending it"):
+        next(rows)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_closing_rows_ends_workers_another_sweep_has_inherited(monkeypatch):
+    # the workers of a second sweep inherit the first sweep's read ends, so
+    # closing the first sweep early cannot end its workers, blocked on full
+    # pipes, through a broken pipe alone; it must still end and reap them
+    monkeypatch.setattr(sweep, "resolve_workers", lambda: 2)
+    ranges = (0.0, 4.0, 400), (0.1, 6.0, 400)
+
+    def hung(signum, frame):
+        raise TimeoutError("closing a sweep's rows did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        first = iter_rows(-1.0, 1.0, *ranges)[2]
+        second = iter_rows(0.5, 1.0, *ranges)[2]
+        next(first), next(second)
+        first.close()
+        second.close()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_matches_pointwise_classify(monkeypatch):
     # grids use the row kernel, classify the scalar one; they must agree bit
     # for bit on every branch: the series half step (rows gamma0 = J and
     # mu gamma0 = J), the corner cell (gamma0 = 0, omega = 0.1) that precise
-    # re-evaluates, and saturated cells with h = +-inf and c = 1 - ulp
+    # re-evaluates, and saturated cells with h = +-inf and c = 1 - ulp; at 1
+    # and at 2 workers.  A forked worker's precise calls are not counted
+    # here, so the count is checked at 1 worker
     real_half_trace = precise.half_trace
     precise_calls = []
 
@@ -92,20 +164,24 @@ def test_sweep_matches_pointwise_classify(monkeypatch):
         (0.9, (0.0, 4.0, 2), (0.1, 6.0, 2)),
         (-1.0, (3.0, 4.0, 3), (0.03, 0.06, 13)),
     ]
-    saturated = series_rows = 0
-    for mu, gamma_range, omega_range in cases:
-        grid = sweep_grid(mu, 1.0, gamma_range, omega_range)
-        saturated += int(np.isinf(grid.trace_half).sum())
-        for i, gamma0 in enumerate(grid.gamma_axis.tolist()):
-            series_rows += 1.0 in (gamma0, mu * gamma0)
-            for j, omega in enumerate(grid.omega_axis.tolist()):
-                r = classify(DrivingSpec(gamma0, mu, omega))
-                h = np.float64(r.half_trace)
-                assert grid.trace_half[i, j].tobytes() == h.tobytes()
-                assert grid.c_values[i, j] == r.c
-                assert grid.phase_at(i, j) is r.phase
-    assert series_rows > 0 and saturated > 0
-    assert precise_calls.count((0.0, 0.1)) == 2  # once per kernel
+    for workers in (1, 2):
+        monkeypatch.setattr(sweep, "resolve_workers", lambda: workers)
+        precise_calls.clear()
+        saturated = series_rows = 0
+        for mu, gamma_range, omega_range in cases:
+            grid = sweep_grid(mu, 1.0, gamma_range, omega_range)
+            saturated += int(np.isinf(grid.trace_half).sum())
+            for i, gamma0 in enumerate(grid.gamma_axis.tolist()):
+                series_rows += 1.0 in (gamma0, mu * gamma0)
+                for j, omega in enumerate(grid.omega_axis.tolist()):
+                    r = classify(DrivingSpec(gamma0, mu, omega))
+                    h = np.float64(r.half_trace)
+                    assert grid.trace_half[i, j].tobytes() == h.tobytes()
+                    assert grid.c_values[i, j] == r.c
+                    assert grid.phase_at(i, j) is r.phase
+        assert series_rows > 0 and saturated > 0
+        if workers == 1:
+            assert precise_calls.count((0.0, 0.1)) == 2  # once per kernel
 
 
 def test_row_hands_every_hard_cell_to_the_scalar_kernel(monkeypatch):
@@ -140,14 +216,21 @@ def test_row_hands_every_hard_cell_to_the_scalar_kernel(monkeypatch):
         return real_evaluate(J, gamma0, mu, omega)
 
     monkeypatch.setattr(floquet, "_evaluate", counted_evaluate)
-    # on a figure panel only the corner, whose h is 1.0, is handed over
-    sweep_grid(-1.0, 1.0, (0.0, 4.0, 400), (0.1, 6.0, 400))
-    assert handed == [(0.0, 0.1)]
-    # the series half step is _evaluate's: both series rows go cell by cell
-    handed.clear()
-    grid = sweep_grid(0.5, 1.0, (0.0, 4.0, 9), (0.05, 6.0, 30))
-    for gamma0 in (1.0, 2.0):
-        assert [o for g, o in handed if g == gamma0] == grid.omega_axis.tolist()
+    # the sweeps run at 1 and at 2 workers; cells a forked worker hands over
+    # are not counted here, so the counts are checked at 1 worker
+    for workers in (1, 2):
+        monkeypatch.setattr(sweep, "resolve_workers", lambda: workers)
+        # on a figure panel only the corner, whose h is 1.0, is handed over
+        handed.clear()
+        sweep_grid(-1.0, 1.0, (0.0, 4.0, 400), (0.1, 6.0, 400))
+        if workers == 1:
+            assert handed == [(0.0, 0.1)]
+        # the series half step is _evaluate's: both series rows go cell by cell
+        handed.clear()
+        grid = sweep_grid(0.5, 1.0, (0.0, 4.0, 9), (0.05, 6.0, 30))
+        if workers == 1:
+            for gamma0 in (1.0, 2.0):
+                assert [o for g, o in handed if g == gamma0] == grid.omega_axis.tolist()
 
 
 def test_static_drive_classes_are_frequency_independent():
