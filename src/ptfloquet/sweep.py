@@ -145,7 +145,6 @@ def _work(out, readers, make, gammas):
     pickled behind its length.  It ends only through os._exit, so that none
     of the parent's code runs here: no buffered file is flushed, no atexit
     handler runs and no caller's finally clause runs."""
-    status = 1
     try:
         for reader in readers:  # the parent's read ends, this worker's among them
             reader.close()
@@ -160,9 +159,8 @@ def _work(out, readers, make, gammas):
             out.flush()
             if not message[0]:
                 break
-        status = 0
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
 def _receive(reader, gamma0):

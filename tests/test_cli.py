@@ -356,45 +356,23 @@ def test_ppm_refuses_a_pixel_list_short_of_its_rows():
             next(cli._ppm_chunks(1, 2, pixel_rows))
 
 
-def test_streamed_sweep_bytes_equal_the_library_renderers(tmp_path, capsys):
+def test_streamed_sweep_bytes_equal_the_library_renderers(tmp_path, capsys, monkeypatch):
     # sweep writes each row as it is made; its files must be the bytes the
     # library renderers make from the whole grid.  The grids are those of
     # test_sweep_matches_pointwise_classify: series rows, the corner that
-    # precise re-evaluates and saturated cells
+    # precise re-evaluates and saturated cells; and one of fewer rows than
+    # workers.  Rows are made and rendered in forked workers, one per CPU:
+    # the files and sweep_grid's arrays are the same bytes at 1, 2 and 3
     cases = [
         (-0.4, (0.0, 2.0, 9), (0.4, 3.0, 11)),
         (1.0, (0.5, 1.5, 3), (0.05, 3.0, 11)),
         (0.5, (1.0, 3.0, 3), (0.05, 3.0, 11)),
         (0.9, (0.0, 4.0, 2), (0.1, 6.0, 2)),
         (-1.0, (3.0, 4.0, 3), (0.03, 0.06, 13)),
+        (0.5, (0.0, 2.0, 2), (0.1, 6.0, 50)),
     ]
     csv_file, ppm_file = tmp_path / "grid.csv", tmp_path / "grid.ppm"
     for mu, gamma_range, omega_range in cases:
-        argv = [f"--mu={mu!r}", f"--out={csv_file}", f"--ppm={ppm_file}", "--force"]
-        for axis, (lo, hi, steps) in (("gamma", gamma_range), ("omega", omega_range)):
-            argv += [f"--{axis}-min={lo!r}", f"--{axis}-max={hi!r}"]
-            argv.append(f"--{axis}-steps={steps}")
-        code, _, err = run_cli(capsys, "sweep", *argv)
-        assert code == 0 and err == "", argv
-        grid = sweep_grid(mu, 1.0, gamma_range, omega_range)
-        assert csv_file.read_bytes() == render_sweep_csv(grid).encode("ascii"), argv
-        assert ppm_file.read_bytes() == render_ppm(grid), argv
-
-
-def test_sweep_bytes_do_not_depend_on_workers(tmp_path, capsys, monkeypatch):
-    # rows are made and rendered in forked workers, one per CPU; the CLI's
-    # files and sweep_grid's arrays must be the same bytes at 1, 2 and 3
-    # workers, on the grids above and on a grid of fewer rows than workers
-    cases = [
-        (-0.4, (0.0, 2.0, 9), (0.4, 3.0, 11)),
-        (1.0, (0.5, 1.5, 3), (0.05, 3.0, 11)),
-        (0.5, (1.0, 3.0, 3), (0.05, 3.0, 11)),
-        (0.9, (0.0, 4.0, 2), (0.1, 6.0, 2)),
-        (-1.0, (3.0, 4.0, 3), (0.03, 0.06, 13)),
-    ]
-    few_rows = (0.5, (0.0, 2.0, 2), (0.1, 6.0, 50))
-    csv_file, ppm_file = tmp_path / "grid.csv", tmp_path / "grid.ppm"
-    for mu, gamma_range, omega_range in [*cases, few_rows]:
         argv = [f"--mu={mu!r}", f"--out={csv_file}", f"--ppm={ppm_file}", "--force"]
         for axis, (lo, hi, steps) in (("gamma", gamma_range), ("omega", omega_range)):
             argv += [f"--{axis}-min={lo!r}", f"--{axis}-max={hi!r}"]
@@ -405,9 +383,11 @@ def test_sweep_bytes_do_not_depend_on_workers(tmp_path, capsys, monkeypatch):
             code, _, err = run_cli(capsys, "sweep", *argv)
             assert code == 0 and err == "", (argv, workers)
             grid = sweep_grid(mu, 1.0, gamma_range, omega_range)
+            csv_bytes, ppm_bytes = csv_file.read_bytes(), ppm_file.read_bytes()
+            assert csv_bytes == render_sweep_csv(grid).encode("ascii"), (argv, workers)
+            assert ppm_bytes == render_ppm(grid), (argv, workers)
             arrays = (grid.trace_half, grid.c_values, grid.classes)
-            made[workers] = [csv_file.read_bytes(), ppm_file.read_bytes()]
-            made[workers] += [a.tobytes() for a in arrays]
+            made[workers] = [csv_bytes, ppm_bytes, *(a.tobytes() for a in arrays)]
         assert made[2] == made[1] and made[3] == made[1], argv
 
 
