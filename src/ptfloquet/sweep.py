@@ -79,9 +79,10 @@ def iter_rows(mu, J, gamma_range, omega_range, per_row=_row_arrays):
 
     The first row asked for forks resolve_workers() workers, which make the
     rows and run per_row on them (see _forked_rows); per_row must be a
-    top-level function or a functools.partial of one.  An exception raised
-    for a row is raised when that row is asked for, after every row before
-    it.  Close rows to end its workers before it is used up.
+    top-level function or a functools.partial of one, and what it returns
+    or raises must pickle.  An exception raised for a row is raised when
+    that row is asked for, after every row before it.  Close rows to end
+    its workers before it is used up.
     """
     g_lo, g_hi, g_count = gamma_range
     o_lo, o_hi, o_count = omega_range
@@ -134,7 +135,10 @@ def _forked_rows(make, gammas):
         for reader in readers:
             reader.close()
         for pid in pids:
-            if not done:  # a worker may be a row ahead, or blocked on its pipe
+            # a worker left early may be making rows, or be blocked on a pipe
+            # whose read end another sweep's workers inherited, where no
+            # broken pipe would ever end it
+            if not done:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
