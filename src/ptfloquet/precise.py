@@ -6,6 +6,12 @@ so the phase) is decided by that noise.  This module re-evaluates h with
 the standard-library decimal module, treating the float inputs as exact
 and computing tau = pi/omega at the working precision, so the returned
 double is the rounding of the exact h of those inputs.
+
+The working precision holds the 17 digits a double needs, the decimal
+digits of the error amplification and _GUARD_DIGITS more.  The cos and sin
+(or cosh and sinh) of each half step come from a short Taylor series at
+x / 2^m, doubled back m times; a doubling at most doubles the error it
+inherits, so the doublings run with ceil(m log10 2) + 1 more digits.
 """
 
 import decimal
@@ -36,22 +42,43 @@ def _pi(digits):
         return +s
 
 
-def _taylor_cos_sin(x, hyperbolic):
-    """(cos x, sin x), or (cosh x, sinh x), by their Taylor series; meant
-    for |x| <= pi, where the terms never exceed the sum by more than a few
-    digits."""
-    x2 = x * x if hyperbolic else -x * x
-    even, odd = Decimal(1), x
-    term_even, term_odd = Decimal(1), x
+def _taylor_cos_sin(t, hyperbolic):
+    """(cos t, sin t), or (cosh t, sinh t), by their Taylor series for
+    |t| <= 1, summed until an even term's exponent lies below the precision
+    (cos t, cosh t > 1/2; the odd terms fall faster relative to their sum)."""
+    t2 = t * t if hyperbolic else -t * t
+    even = term_even = Decimal(1)
+    odd = term_odd = t
+    limit = -decimal.getcontext().prec - 1
     k = 1
-    while True:
-        term_even = term_even * x2 / ((2 * k - 1) * (2 * k))
-        term_odd = term_odd * x2 / ((2 * k) * (2 * k + 1))
-        if even + term_even == even and odd + term_odd == odd:
-            return even, odd
+    while term_even and term_even.adjusted() >= limit:  # a zero's exponent is no size
+        term_even = term_even * t2 / ((2 * k - 1) * (2 * k))
+        term_odd = term_odd * t2 / ((2 * k) * (2 * k + 1))
         even += term_even
         odd += term_odd
         k += 1
+    return even, odd
+
+
+def _cos_sin(x, hyperbolic):
+    """(cos x, sin x) for |x| <= pi, or (cosh x, sinh x) for x >= 0, from
+    the series at t = x / 2^m, |t| < 2^-k, k = isqrt(digits), and m steps of
+    sin 2t = 2 sin t cos t, cos 2t = 1 - 2 sin^2 t, or, at x >= 1, the power
+    e^x = (cosh t + sinh t)^(2^m), whose squarings cost less (k tripled)."""
+    if hyperbolic and x < 1:  # the series at x; e - 1/e would cancel
+        return _taylor_cos_sin(x, hyperbolic)
+    with decimal.localcontext() as ctx:
+        k = math.isqrt(ctx.prec) * (3 if hyperbolic else 1)
+        m = max(0, math.frexp(float(x))[1] + k)
+        ctx.prec += math.ceil(m * math.log10(2)) + 1
+        c, s = _taylor_cos_sin(x / (1 << m), hyperbolic)
+        if hyperbolic:
+            e = (c + s) ** (1 << m)
+            return (e + 1 / e) / 2, (e - 1 / e) / 2
+        for _ in range(m):
+            s2 = s + s
+            c, s = 1 - s2 * s, s2 * c
+    return c, s
 
 
 def _half_step(J, gamma, tau, pi):
@@ -65,15 +92,10 @@ def _half_step(J, gamma, tau, pi):
         x = r * tau
         two_pi = 2 * pi
         x -= two_pi * (x / two_pi).to_integral_value()
-        c, s = _taylor_cos_sin(x, hyperbolic=False)
+        c, s = _cos_sin(x, hyperbolic=False)
         return c, s / r
     q = (-rr).sqrt()
-    x = q * tau
-    if x < 1:
-        c, s = _taylor_cos_sin(x, hyperbolic=True)
-    else:
-        e = x.exp()
-        c, s = (e + 1 / e) / 2, (e - 1 / e) / 2
+    c, s = _cos_sin(q * tau, hyperbolic=True)
     return c, s / q
 
 
