@@ -63,11 +63,12 @@ def _omega_strs(omega_range):
     return [_fmt(omega) for omega in grid_axis(*omega_range).tolist()]
 
 
-def _render_row(omega_range, gamma0, half_trace, c, code):
-    """cmd_sweep's per_row, bound to its omega range: the row's CSV chunk
-    and its PPM pixels."""
+def _render_row(omega_range, with_pixels, gamma0, half_trace, c, code):
+    """cmd_sweep's per_row, bound to its omega range and to whether --ppm
+    was given: the row's CSV chunk and its PPM pixels, or None for the
+    pixels when no PPM is written."""
     csv_row = _csv_row(_omega_strs(omega_range), gamma0, half_trace, c, code)
-    return csv_row, _ppm_row(c, code)
+    return csv_row, _ppm_row(c, code) if with_pixels else None
 
 
 def _ppm_row(c, code) -> bytes:
@@ -141,18 +142,18 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"refusing to overwrite {path} (use --force)")
     gamma_range = (args.gamma_min, args.gamma_max, args.gamma_steps)
     omega_range = (args.omega_min, args.omega_max, args.omega_steps)
-    per_row = functools.partial(_render_row, omega_range)
+    per_row = functools.partial(_render_row, omega_range, args.ppm is not None)
     gamma_axis, omega_axis, rows = iter_rows(
         args.mu, args.J, gamma_range, omega_range, per_row
     )
     # the sweep's workers make and render each gamma0 row as the CSV is
-    # written, and only the row's PPM pixels are kept, for the PPM written
-    # after it.  All or nothing: a new or regular-file output is staged
-    # beside its target and renamed into place once every write has
-    # succeeded, so a failure leaves existing files as they were; any other
-    # existing target (a FIFO, a device such as /dev/stdout) cannot be
-    # replaced and is written in place, as plain open() would, and keeps the
-    # rows written before a failure
+    # written, its PPM pixels only with --ppm, and only those pixels are
+    # kept, for the PPM written after it.  All or nothing: a new or
+    # regular-file output is staged beside its target and renamed into place
+    # once every write has succeeded, so a failure leaves existing files as
+    # they were; any other existing target (a FIFO, a device such as
+    # /dev/stdout) cannot be replaced and is written in place, as plain
+    # open() would, and keeps the rows written before a failure
     pixel_rows = []
     def csv_rows():  # each (csv_row, pixels) of rows, passed on as its CSV
         for csv_row, pixels in rows:
@@ -193,9 +194,10 @@ def cmd_boundary(args) -> int:
         raise ValueError(f"--J must be finite and positive, got {args.J}")
     if args.samples < 1:
         raise ValueError("need at least one sample")
+    # analytic owns the index ranges; only a missing --n is refused here
+    if args.n is None and args.kind != "asymptotic":
+        raise ValueError(f"{args.kind} curves need --n")
     if args.kind in ("unbroken-ellipse", "broken-ellipse"):
-        if args.n is None or args.n < 1:
-            raise ValueError("ellipse curves need --n >= 1")
         if args.kind == "unbroken-ellipse":
             curve = analytic.unbroken_ellipse(args.n, J=args.J, samples=args.samples)
         else:
@@ -207,8 +209,6 @@ def cmd_boundary(args) -> int:
             for g in _gamma_samples(args)
         ]
     else:  # mu0-sliver
-        if args.n is None or args.n < 1 or args.n % 2 == 0:
-            raise ValueError("sliver curves need an odd --n >= 1")
         points = [
             (g, analytic.mu0_sliver(args.n, g, J=args.J))
             for g in _gamma_samples(args)

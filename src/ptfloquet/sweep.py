@@ -11,18 +11,13 @@ classify call on the same drive agree bit for bit.
 import os
 import pickle
 import signal
-import struct
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import BracketError, ConsistencyError
 from .floquet import BROKEN_CODE, PHASE_BY_CODE, _evaluate, _evaluate_row
 from .model import PhaseClass, check_drive
-
-# the length of a worker's message, ahead of its pickle
-_LENGTH = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
@@ -78,11 +73,10 @@ def iter_rows(mu, J, gamma_range, omega_range, per_row=_row_arrays):
     the omega range must be strictly positive.
 
     The first row asked for forks resolve_workers() workers, which make the
-    rows and run per_row on them (see _forked_rows); per_row must be a
-    top-level function or a functools.partial of one, and what it returns
-    or raises must pickle.  An exception raised for a row is raised when
-    that row is asked for, after every row before it.  Close rows to end
-    its workers before it is used up.
+    rows and run per_row on them (see _forked_rows); the workers inherit
+    per_row, so only what it returns or raises must pickle.  An exception
+    raised for a row is raised when that row is asked for, after every row
+    before it.  Close rows to end its workers before it is used up.
     """
     g_lo, g_hi, g_count = gamma_range
     o_lo, o_hi, o_count = omega_range
@@ -96,12 +90,11 @@ def iter_rows(mu, J, gamma_range, omega_range, per_row=_row_arrays):
 
     gamma_axis = grid_axis(g_lo, g_hi, g_count)
     omega_axis = grid_axis(o_lo, o_hi, o_count)
-    make = partial(_make_row, per_row, J, mu, omega_axis)
+
+    def make(gamma0):
+        return per_row(gamma0, *_evaluate_row(J, gamma0, mu, omega_axis))
+
     return gamma_axis, omega_axis, _forked_rows(make, gamma_axis.tolist())
-
-
-def _make_row(per_row, J, mu, omega_axis, gamma0):
-    return per_row(gamma0, *_evaluate_row(J, gamma0, mu, omega_axis))
 
 
 def _forked_rows(make, gammas):
@@ -126,7 +119,13 @@ def _forked_rows(make, gammas):
                     _work(out, readers, make, gammas[k::workers])
             pids.append(pid)
         for i, gamma0 in enumerate(gammas):
-            made, value = _receive(readers[i % workers], gamma0)
+            try:
+                made, value = pickle.load(readers[i % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise ConsistencyError(
+                    f"the sweep worker making row gamma0={gamma0!r} ended "
+                    "before sending it"
+                ) from None
             if not made:
                 raise value
             yield value
@@ -146,7 +145,8 @@ def _forked_rows(make, gammas):
 def _work(out, readers, make, gammas):
     """A forked worker: send make(gamma0) for each of gammas down out, as
     (True, row), or the exception that stops it as (False, exception), each
-    pickled behind its length.  It ends only through os._exit, so that none
+    pickled whole before it is written, so that only this process's death
+    can cut a message short.  It ends only through os._exit, so that none
     of the parent's code runs here: no buffered file is flushed, no atexit
     handler runs and no caller's finally clause runs."""
     try:
@@ -157,27 +157,12 @@ def _work(out, readers, make, gammas):
                 message = True, make(gamma0)
             except Exception as exc:  # raised in the parent, at this row
                 message = False, exc
-            payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-            out.write(_LENGTH.pack(len(payload)))
-            out.write(payload)
+            out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
             out.flush()
             if not message[0]:
                 break
     finally:
         os._exit(0)
-
-
-def _receive(reader, gamma0):
-    """The next (made, value) message from a worker's pipe."""
-    head = reader.read(_LENGTH.size)
-    if len(head) == _LENGTH.size:
-        (size,) = _LENGTH.unpack(head)
-        payload = reader.read(size)
-        if len(payload) == size:
-            return pickle.loads(payload)
-    raise ConsistencyError(
-        f"the sweep worker making row gamma0={gamma0!r} ended before sending it"
-    )
 
 
 def sweep_grid(mu, J, gamma_range, omega_range, workers=None) -> PhaseGrid:

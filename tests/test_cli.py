@@ -362,7 +362,17 @@ def test_streamed_sweep_bytes_equal_the_library_renderers(tmp_path, capsys, monk
     # test_sweep_matches_pointwise_classify: series rows, the corner that
     # precise re-evaluates and saturated cells; and one of fewer rows than
     # workers.  Rows are made and rendered in forked workers, one per CPU:
-    # the files and sweep_grid's arrays are the same bytes at 1, 2 and 3
+    # the files and sweep_grid's arrays are the same bytes at 1, 2 and 3.
+    # PPM pixels are rendered, one call per row, only with --ppm; a forked
+    # worker's calls are not counted here, so the count is checked at 1
+    real_ppm_row = cli._ppm_row
+    ppm_calls = []
+
+    def counted_ppm_row(c, code):
+        ppm_calls.append(c.size)
+        return real_ppm_row(c, code)
+
+    monkeypatch.setattr(cli, "_ppm_row", counted_ppm_row)
     cases = [
         (-0.4, (0.0, 2.0, 9), (0.4, 3.0, 11)),
         (1.0, (0.5, 1.5, 3), (0.05, 3.0, 11)),
@@ -373,15 +383,18 @@ def test_streamed_sweep_bytes_equal_the_library_renderers(tmp_path, capsys, monk
     ]
     csv_file, ppm_file = tmp_path / "grid.csv", tmp_path / "grid.ppm"
     for mu, gamma_range, omega_range in cases:
-        argv = [f"--mu={mu!r}", f"--out={csv_file}", f"--ppm={ppm_file}", "--force"]
+        argv = [f"--mu={mu!r}", f"--out={csv_file}", "--force"]
         for axis, (lo, hi, steps) in (("gamma", gamma_range), ("omega", omega_range)):
             argv += [f"--{axis}-min={lo!r}", f"--{axis}-max={hi!r}"]
             argv.append(f"--{axis}-steps={steps}")
         made = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(sweep, "resolve_workers", lambda: workers)
-            code, _, err = run_cli(capsys, "sweep", *argv)
+            ppm_calls.clear()
+            code, _, err = run_cli(capsys, "sweep", *argv, f"--ppm={ppm_file}")
             assert code == 0 and err == "", (argv, workers)
+            if workers == 1:
+                assert ppm_calls == [omega_range[2]] * gamma_range[2], argv
             grid = sweep_grid(mu, 1.0, gamma_range, omega_range)
             csv_bytes, ppm_bytes = csv_file.read_bytes(), ppm_file.read_bytes()
             assert csv_bytes == render_sweep_csv(grid).encode("ascii"), (argv, workers)
@@ -389,6 +402,11 @@ def test_streamed_sweep_bytes_equal_the_library_renderers(tmp_path, capsys, monk
             arrays = (grid.trace_half, grid.c_values, grid.classes)
             made[workers] = [csv_bytes, ppm_bytes, *(a.tobytes() for a in arrays)]
         assert made[2] == made[1] and made[3] == made[1], argv
+        monkeypatch.setattr(sweep, "resolve_workers", lambda: 1)
+        ppm_calls.clear()
+        code, _, err = run_cli(capsys, "sweep", *argv)
+        assert code == 0 and err == "" and ppm_calls == [], argv
+        assert csv_file.read_bytes() == made[1][0], argv
 
 
 def _row_failing_from_gamma0_2(J, gamma0, mu, omega_axis):
@@ -531,7 +549,10 @@ def test_boundary_sliver_range_is_left_open(capsys):
 def test_boundary_rejects_bad_indices(capsys):
     assert run_cli(capsys, "boundary", "--kind", "mu0-sliver", "--n", "2")[0] == 2
     assert run_cli(capsys, "boundary", "--kind", "unbroken-ellipse", "--n", "0")[0] == 2
-    assert run_cli(capsys, "boundary", "--kind", "broken-ellipse", "--n", "0")[0] == 2
+    assert run_cli(capsys, "boundary", "--kind", "broken-ellipse", "--n", "-1")[0] == 2
+    # n = 0 is the broken family's primary resonance, the curve from (0, 2J)
+    code, out, _ = run_cli(capsys, "boundary", "--kind", "broken-ellipse", "--n", "0")
+    assert code == 0 and out.splitlines()[1] == "0.0,2.0"
     assert run_cli(capsys, "boundary", "--kind", "unbroken-ellipse")[0] == 2
     for kind, extra, flag in [
         ("asymptotic", [], "--gamma-max"),

@@ -94,6 +94,17 @@ def _dies_at_gamma0_1(gamma0, half_trace, c, code):
     return gamma0
 
 
+def _dies_writing_gamma0_1(gamma0, half_trace, c, code):
+    """A per_row: the id of the process that made the row, but at gamma0 = 1
+    a 1 MB row, more than a pipe buffer holds, and a timer whose signal
+    ends the process while it is blocked writing that row."""
+    if gamma0 == 1.0:
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        return bytes(2**20)
+    return os.getpid()
+
+
 def test_rows_are_made_in_forked_workers_in_turn(monkeypatch):
     # one worker per CPU this process may use; with W workers, worker k
     # makes rows k, k + W, ...; with one, the rows are made here
@@ -111,6 +122,16 @@ def test_rows_are_made_in_forked_workers_in_turn(monkeypatch):
     monkeypatch.setattr(sweep, "resolve_workers", lambda: 2)
     rows = iter_rows(0.5, 1.0, *ranges, per_row=_dies_at_gamma0_1)[2]
     assert [next(rows), next(rows)] == [0.0, 0.5]
+    with pytest.raises(ConsistencyError, match="row gamma0=1.0 ended before sending it"):
+        next(rows)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # so does one that dies partway through sending its row.  The row is
+    # asked for only once that worker (the one that made row 0) has ended,
+    # waited for without reaping it, so the outcome does not rest on timing
+    rows = iter_rows(0.5, 1.0, *ranges, per_row=_dies_writing_gamma0_1)[2]
+    first_pid, _ = next(rows), next(rows)
+    os.waitid(os.P_PID, first_pid, os.WEXITED | os.WNOWAIT)
     with pytest.raises(ConsistencyError, match="row gamma0=1.0 ended before sending it"):
         next(rows)
     with pytest.raises(ChildProcessError):
