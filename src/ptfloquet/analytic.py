@@ -100,10 +100,7 @@ def field_components(spec: DrivingSpec) -> FieldComponents:
     ax = _real_part(J * (c2 * s1 + s2 * c1), "field ax")
     ay = _real_part((mu - 1.0) * J * g0 * s1 * s2, "field ay")
     az = _real_part(g0 * (c2 * s1 + mu * s2 * c1), "field az")
-    cos2eps = _real_part(
-        c2 * c1 - (J * J - mu * g0 * g0) * s2 * s1, "cos_2eps_tau"
-    )
-    return FieldComponents(ax=ax, ay=ay, az=az, cos2eps=cos2eps)
+    return FieldComponents(ax=ax, ay=ay, az=az, cos2eps=cos_2eps_tau(spec))
 
 
 def high_freq_threshold(mu, J) -> float:

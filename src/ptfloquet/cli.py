@@ -8,7 +8,6 @@ usage, parameters or output paths, 3 internal consistency failure.
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import os
@@ -23,7 +22,7 @@ from .floquet import (
     DEFAULT_TOL, EXCEPTIONAL_CODE, PHASE_BY_CODE, _passive_decay, classify
 )
 from .model import DrivingSpec
-from .sweep import PhaseGrid, grid_axis, iter_rows
+from .sweep import PhaseGrid, iter_rows
 # not called here, so the benchmark's span around cli.sweep_grid times no
 # sweep; kept only because the benchmark still wraps it by name
 from .sweep import sweep_grid
@@ -54,21 +53,6 @@ def _csv_row(omega_strs, gamma0, half_trace, c, code) -> bytes:
         f"{g_str},{o_str},{c!r},{_PHASE_NAMES[code]},{h!r}\n"
         for o_str, c, code, h in cells
     ]).encode("ascii")
-
-
-@functools.lru_cache(maxsize=1)
-def _omega_strs(omega_range):
-    """The omega axis of a checked (lo, hi, count) range, _fmt'ed: made once
-    per sweep in each process that renders its rows."""
-    return [_fmt(omega) for omega in grid_axis(*omega_range).tolist()]
-
-
-def _render_row(omega_range, with_pixels, gamma0, half_trace, c, code):
-    """cmd_sweep's per_row, bound to its omega range and to whether --ppm
-    was given: the row's CSV chunk and its PPM pixels, or None for the
-    pixels when no PPM is written."""
-    csv_row = _csv_row(_omega_strs(omega_range), gamma0, half_trace, c, code)
-    return csv_row, _ppm_row(c, code) if with_pixels else None
 
 
 def _ppm_row(c, code) -> bytes:
@@ -142,10 +126,15 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"refusing to overwrite {path} (use --force)")
     gamma_range = (args.gamma_min, args.gamma_max, args.gamma_steps)
     omega_range = (args.omega_min, args.omega_max, args.omega_steps)
-    per_row = functools.partial(_render_row, omega_range, args.ppm is not None)
+    def render_row(gamma0, half_trace, c, code):  # the row's CSV, and pixels or None
+        csv_row = _csv_row(omega_strs, gamma0, half_trace, c, code)
+        return csv_row, _ppm_row(c, code) if args.ppm is not None else None
     gamma_axis, omega_axis, rows = iter_rows(
-        args.mu, args.J, gamma_range, omega_range, per_row
+        args.mu, args.J, gamma_range, omega_range, render_row
     )
+    # formatted once, here, before the first row is asked for: the sweep's
+    # workers fork then and inherit it
+    omega_strs = [_fmt(omega) for omega in omega_axis.tolist()]
     # the sweep's workers make and render each gamma0 row as the CSV is
     # written, its PPM pixels only with --ppm, and only those pixels are
     # kept, for the PPM written after it.  All or nothing: a new or

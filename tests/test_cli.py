@@ -533,6 +533,15 @@ def test_boundary_asymptotic_rows_match_formula(capsys):
         assert float(omega_s) == pytest.approx(
             math.pi * gamma / math.asinh(gamma), rel=1e-15
         )
+    # one sample is --gamma-min alone
+    code, out, _ = run_cli(
+        capsys,
+        "boundary", "--kind", "asymptotic",
+        "--samples", "1", "--gamma-min", "5", "--gamma-max", "15",
+    )
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("5.0,")
 
 
 def test_boundary_sliver_range_is_left_open(capsys):

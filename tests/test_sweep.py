@@ -110,6 +110,16 @@ def test_rows_are_made_in_forked_workers_in_turn(monkeypatch):
     # makes rows k, k + W, ...; with one, the rows are made here
     assert sweep.resolve_workers() == len(os.sched_getaffinity(0))
     ranges = (0.0, 2.0, 5), (0.2, 3.0, 7)
+    # without os.fork the rows are made here; without the CPU affinity
+    # there is one worker per CPU
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        assert sweep.resolve_workers() == 1
+        pids = list(iter_rows(0.5, 1.0, *ranges, per_row=_maker_pid)[2])
+        assert pids == [os.getpid()] * 5
+    with monkeypatch.context() as m:
+        m.delattr(os, "sched_getaffinity")
+        assert sweep.resolve_workers() == os.cpu_count()
     for workers in (1, 2, 3):
         monkeypatch.setattr(sweep, "resolve_workers", lambda: workers)
         pids = list(iter_rows(0.5, 1.0, *ranges, per_row=_maker_pid)[2])
@@ -163,12 +173,22 @@ def test_closing_rows_ends_workers_another_sweep_has_inherited(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _classify_outcome(gamma0, mu, omega):
+    """classify's result for the drive, or the message of its ValueError."""
+    try:
+        return classify(DrivingSpec(gamma0, mu, omega))
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_sweep_matches_pointwise_classify(monkeypatch):
     # grids use the row kernel, classify the scalar one; they must agree bit
     # for bit on every branch: the series half step (rows gamma0 = J and
     # mu gamma0 = J), the corner cell (gamma0 = 0, omega = 0.1) that precise
-    # re-evaluates, and saturated cells with h = +-inf and c = 1 - ulp; at 1
-    # and at 2 workers.  A forked worker's precise calls are not counted
+    # re-evaluates, saturated cells with h = +-inf and c = 1 - ulp, and rows
+    # whose half step overflows; at 1 and at 2 workers.  Where classify
+    # fails on a cell, the grid must fail with the message of the first such
+    # cell, row by row.  A forked worker's precise calls are not counted
     # here, so the count is checked at 1 worker
     real_half_trace = precise.half_trace
     precise_calls = []
@@ -184,18 +204,29 @@ def test_sweep_matches_pointwise_classify(monkeypatch):
         (0.5, (1.0, 3.0, 3), (0.05, 3.0, 11)),
         (0.9, (0.0, 4.0, 2), (0.1, 6.0, 2)),
         (-1.0, (3.0, 4.0, 3), (0.03, 0.06, 13)),
+        (1.0, (3.0, 4.0, 3), (0.01, 0.06, 5)),
     ]
     for workers in (1, 2):
         monkeypatch.setattr(sweep, "resolve_workers", lambda: workers)
         precise_calls.clear()
         saturated = series_rows = 0
         for mu, gamma_range, omega_range in cases:
+            gammas = grid_axis(*gamma_range).tolist()
+            omegas = grid_axis(*omega_range).tolist()
+            outcomes = [[_classify_outcome(g, mu, o) for o in omegas] for g in gammas]
+            failures = [r for row in outcomes for r in row if isinstance(r, str)]
+            if failures:
+                with pytest.raises(ValueError) as raised:
+                    sweep_grid(mu, 1.0, gamma_range, omega_range)
+                assert str(raised.value) == failures[0]
+                continue
             grid = sweep_grid(mu, 1.0, gamma_range, omega_range)
+            assert grid.gamma_axis.tolist() == gammas
+            assert grid.omega_axis.tolist() == omegas
             saturated += int(np.isinf(grid.trace_half).sum())
-            for i, gamma0 in enumerate(grid.gamma_axis.tolist()):
+            for i, gamma0 in enumerate(gammas):
                 series_rows += 1.0 in (gamma0, mu * gamma0)
-                for j, omega in enumerate(grid.omega_axis.tolist()):
-                    r = classify(DrivingSpec(gamma0, mu, omega))
+                for j, r in enumerate(outcomes[i]):
                     h = np.float64(r.half_trace)
                     assert grid.trace_half[i, j].tobytes() == h.tobytes()
                     assert grid.c_values[i, j] == r.c
@@ -333,6 +364,9 @@ def test_threshold_scan_rejects_bad_brackets():
         threshold_scan(1.0, 1.0, 2.0, (0.2, 0.8))  # upper end not broken
     with pytest.raises(ValueError):
         threshold_scan(1.0, 1.0, 2.0, (1.5, 0.5))
+    for tol in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="scan tolerance must be positive"):
+            threshold_scan(1.0, 1.0, 2.0, (0.5, 1.5), tol=tol)
     # the drive itself is validated, naming the bad parameter
     for mu, J, omega, bracket, name in [
         (0.5, 1.0, 0.0, (0.5, 1.5), "omega"),
