@@ -5,7 +5,12 @@ The package cross-validates the closed-form trace identity of the drive
 against direct monodromy numerics and reproduces the phase-diagram
 structure (resonance tongues, symmetric slivers, high-frequency thresholds)
 at desk scale.
+
+Importing the package loads no numpy: the sweep engine's and the oracle's
+names, which need it, are imported on first use through __getattr__.
 """
+
+import importlib
 
 from .analytic import (
     BoundaryCurve,
@@ -40,7 +45,6 @@ from .model import (
     passive_shift,
     static_eigs,
 )
-from .oracle import stepped_constant, stepped_propagator
 from .pauli import (
     PauliVector,
     compose,
@@ -49,9 +53,21 @@ from .pauli import (
     expm_traceless,
     sin_over_r,
 )
-from .sweep import PhaseGrid, grid_axis, sweep_grid, threshold_scan
 
 __version__ = "0.1.0"
+
+# the numpy-backed names, by the module that defines them
+_LAZY = {
+    **dict.fromkeys(("PhaseGrid", "grid_axis", "sweep_grid", "threshold_scan"), "sweep"),
+    **dict.fromkeys(("stepped_constant", "stepped_propagator"), "oracle"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "BoundaryCurve",

@@ -14,21 +14,24 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
 from . import analytic
 from .errors import ConsistencyError
 from .floquet import (
     DEFAULT_TOL, EXCEPTIONAL_CODE, PHASE_BY_CODE, _passive_decay, classify
 )
 from .model import DrivingSpec
-from .sweep import PhaseGrid, iter_rows
-# not called here, so the benchmark's span around cli.sweep_grid times no
-# sweep; kept only because the benchmark still wraps it by name
-from .sweep import sweep_grid
 
 CSV_COLUMNS = "gamma0,omega,c,phase,trace_half"
 _PHASE_NAMES = [p.value for p in PHASE_BY_CODE]
+
+
+def __getattr__(name):
+    """cli.sweep_grid, imported on first use so that classify loads no numpy;
+    nothing here calls it, but the benchmark still wraps it by name."""
+    if name != "sweep_grid":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .sweep import sweep_grid
+    return sweep_grid
 
 
 def _fmt(x) -> str:
@@ -58,6 +61,7 @@ def _csv_row(omega_strs, gamma0, half_trace, c, code) -> bytes:
 def _ppm_row(c, code) -> bytes:
     """One gamma0 row of heatmap pixels: R = round(255 c), G = 0,
     B = round(255 (1 - c)), with Exceptional cells white."""
+    import numpy as np
     pixels = np.zeros((c.size, 3), dtype=np.uint8)
     pixels[:, 0] = np.rint(255.0 * c).astype(np.uint8)
     pixels[:, 2] = np.rint(255.0 * (1.0 - c)).astype(np.uint8)
@@ -76,7 +80,7 @@ def _ppm_chunks(n_gamma, n_omega, pixel_rows):
     yield from reversed(pixel_rows)
 
 
-def render_sweep_csv(grid: PhaseGrid) -> str:
+def render_sweep_csv(grid: "PhaseGrid") -> str:
     """CSV document for a sweep: _csv_chunks over the grid's rows, joined."""
     omega_strs = [_fmt(omega) for omega in grid.omega_axis.tolist()]
     rows = zip(grid.gamma_axis.tolist(), grid.trace_half, grid.c_values, grid.classes)
@@ -84,7 +88,7 @@ def render_sweep_csv(grid: PhaseGrid) -> str:
     return b"".join(_csv_chunks(grid.mu, grid.J, csv_rows)).decode("ascii")
 
 
-def render_ppm(grid: PhaseGrid) -> bytes:
+def render_ppm(grid: "PhaseGrid") -> bytes:
     """PPM heatmap of a sweep: _ppm_chunks over the grid's rows, joined."""
     pixel_rows = [_ppm_row(c, code) for c, code in zip(grid.c_values, grid.classes)]
     return b"".join(_ppm_chunks(*grid.c_values.shape, pixel_rows))
@@ -118,6 +122,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .sweep import iter_rows  # and numpy, which classify never loads
     # refuse before computing, so a refusal leaves no output behind
     if args.ppm is not None and os.path.realpath(args.out) == os.path.realpath(args.ppm):
         raise ValueError(f"--out and --ppm name the same file {args.out}")

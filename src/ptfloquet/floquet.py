@@ -5,23 +5,20 @@ of two closed-form exponentials, each with a real diagonal and an imaginary
 off-diagonal; the kernel carries their real numbers, and the half trace is
 real.  Everything here is a pure function of the drive parameters.
 
-The kernel comes in two forms: _evaluate for one drive (classify, threshold
-scans) and _evaluate_row for one gamma0 row of a grid (the sweep engine).
-The row form does the common case with the same arithmetic (numpy for the
-correctly rounded operations, math for every transcendental, element by
-element) and hands every cell it cannot settle to _evaluate, so the two
-agree bit for bit (test_sweep_matches_pointwise_classify pins this).
+_evaluate is the scalar kernel of classify and threshold scans, in math
+alone; its row form, for one gamma0 row of a grid, is sweep._evaluate_row,
+which hands every cell it cannot settle back to _evaluate.
 _evaluate replaces a half trace within its rounding-noise bound of +-1 by
 the extended-precision value from the precise module, so every verdict
 rests on a resolved trace.  A half trace beyond double range is +-inf;
-monodromy entries beyond it raise ValueError.
+monodromy entries beyond it raise ValueError.  numpy is imported only by
+the functions that return or take a matrix (monodromy, quasienergy, ...),
+so classify runs without it.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import precise
 from .model import DrivingSpec, PhaseClass
@@ -166,8 +163,8 @@ def trace_noise(J, gamma0, mu, omega) -> float:
 
 def _evaluate(J, gamma0, mu, omega):
     """Scalar kernel of classify, threshold_scan and every grid cell that
-    _evaluate_row hands over: _evaluate_row's (h, c, code) per cell, by its
-    arithmetic; the half trace, the amplification rate and the phase code
+    sweep._evaluate_row hands over: that row kernel's (h, c, code) per cell,
+    by its arithmetic; the half trace, the amplification rate and the phase code
     (Unbroken for |h| <= 1, Exceptional up to 1 + DEFAULT_TOL, Broken beyond).
 
     c follows from h alone, because the determinant is structurally 1
@@ -196,81 +193,14 @@ def _evaluate(J, gamma0, mu, omega):
     return half_trace, c, _phase_code(half_trace)
 
 
-def _math_map(fn, x):
-    """fn from math, element by element: numpy's own transcendentals round
-    differently from math's on some arguments."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
-def _half_step_row(J, gamma, tau):
-    """_half_step over an array of tau, direct form only: NaN where x = k tau
-    lies below SERIES_CUTOFF, as the series form is _evaluate's."""
-    rr = J * J - gamma * gamma
-    k = math.sqrt(abs(rr))
-    x = k * tau
-    if rr >= 0.0:
-        cos, sin = math.cos, math.sin
-    else:
-        cos, sin = math.cosh, math.sinh
-    s = _math_map(sin, x) / k
-    s[x < SERIES_CUTOFF] = math.nan
-    c = _math_map(cos, x)
-    return c + gamma * s, J * s, c - gamma * s
-
-
-def _trace_noise_row(J, gamma0, mu, tau):
-    """trace_noise over an array of tau, rounded up by 1 + 2^-40 past the
-    few-ulp difference of numpy's exp from math.exp; it only picks the cells
-    to hand to _evaluate, so it may lie above trace_noise but never below."""
-    growth, poly, amp = np.zeros_like(tau), 1.0, 1.0
-    for gamma in (gamma0, abs(mu) * gamma0):
-        rr = abs(J * J - gamma * gamma)
-        if gamma > J:
-            growth += math.sqrt(rr) * tau
-        poly *= 1.0 + (gamma + J) * tau
-        inv_rr = 1.0 / rr if rr else 0.0  # never chosen at rr == 0
-        amp += (J * J + gamma * gamma) * np.where(
-            rr * tau * tau > 1.0, inv_rr, tau * tau
-        )
-    return 16.0 * _UNIT_ROUNDOFF * (1.0 + 2.0**-40) * np.exp(growth) * poly * amp
-
-
-def _evaluate_row(J, gamma0, mu, omega_axis):
-    """_evaluate for one gamma0 over a float64 array of omega, as arrays
-    (half_trace, c, code).  The row settles the common cells and overwrites
-    every other with _evaluate's result, so each cell is bit-identical to
-    _evaluate's: a series half step, a half trace NaN or within the row's
-    noise bound of +-1, and each cell of a row whose half step overflows."""
-    tau = math.pi / omega_axis
-    with np.errstate(all="ignore"):  # overflow to inf is expected, as in floats
-        try:
-            a00, a01, a11 = _half_step_row(J, gamma0, tau)
-            b00, b01, b11 = _half_step_row(J, mu * gamma0, tau)
-            half_trace = 0.5 * ((b00 * a00 - b01 * a01) + (b11 * a11 - b01 * a01))
-        except OverflowError:  # from math.sinh or math.cosh
-            half_trace = np.full_like(tau, math.nan)
-        noise = _trace_noise_row(J, gamma0, mu, tau)
-        hard = ~(np.abs(np.abs(half_trace) - 1.0) > noise)  # NaN is hard too
-        h = np.abs(half_trace)
-        big = h + np.sqrt(h * h - 1.0)
-        # fmin drops the NaN of inf/inf where big overflows
-        c = np.where(
-            h <= 1.0, 0.0, np.fmin((big - 1.0 / big) / (big + 1.0 / big), _ONE_MINUS_ULP)
-        )
-    code = np.where(h - 1.0 <= DEFAULT_TOL, EXCEPTIONAL_CODE, BROKEN_CODE)
-    code[h <= 1.0] = UNBROKEN_CODE
-    for j in np.flatnonzero(hard).tolist():
-        half_trace[j], c[j], code[j] = _evaluate(J, gamma0, mu, float(omega_axis[j]))
-    return half_trace, c, code
-
-
-def monodromy(spec: DrivingSpec) -> np.ndarray:
+def monodromy(spec: DrivingSpec) -> "np.ndarray":
     """One-period propagator of the two-step drive (unit determinant)."""
+    import numpy as np
     m00, m01, m10, m11 = _monodromy_entries(spec.J, spec.gamma0, spec.mu, spec.omega)
     return np.array([[m00, complex(0.0, m01)], [complex(0.0, m10), m11]])
 
 
-def passive_monodromy(spec: DrivingSpec) -> np.ndarray:
+def passive_monodromy(spec: DrivingSpec) -> "np.ndarray":
     """One-period propagator of the loss-only twin of the drive.
 
     Identity-shifting both half-step Hamiltonians by their loss offsets
@@ -294,6 +224,7 @@ def quasienergy(m, tau) -> complex:
     amplified mode); for the real traces produced by this drive its real
     part lies in the half zone [0, omega/2].
     """
+    import numpy as np
     m = np.asarray(m, dtype=complex)
     half_trace = complex(m[0, 0] + m[1, 1]) / 2.0
     return _quasienergy_from_half_trace(half_trace, tau, math.pi / tau)

@@ -3,17 +3,26 @@
 Every matrix is a combination a0*1 + a1*sx + a2*sy + a3*sz with complex
 coefficients; traceless generators exponentiate in closed form, which is
 what makes the whole two-step drive solvable without any ODE integrator.
+numpy is imported only by the functions that make or read a dense matrix.
 """
 
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
+def __getattr__(name):
+    """SIGMA_X, SIGMA_Y, SIGMA_Z and IDENTITY, made on first use."""
+    if name not in ("SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+    globals().update(
+        SIGMA_X=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        SIGMA_Y=np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        SIGMA_Z=np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+        IDENTITY=np.eye(2, dtype=complex),
+    )
+    return globals()[name]
+
 
 # below this |r*t| the direct sin(r*t)/r loses digits to cancellation
 SERIES_CUTOFF = 1e-4
@@ -37,15 +46,16 @@ class PauliVector:
     def from_matrix(cls, m) -> "PauliVector":
         return cls(*decompose(m))
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> "np.ndarray":
         return compose(self.a0, self.a1, self.a2, self.a3)
 
     def coefficients(self):
         return (self.a0, self.a1, self.a2, self.a3)
 
 
-def compose(a0, a1, a2, a3) -> np.ndarray:
+def compose(a0, a1, a2, a3) -> "np.ndarray":
     """Dense matrix a0*1 + a1*sx + a2*sy + a3*sz."""
+    import numpy as np
     return np.array(
         [[a0 + a3, a1 - 1j * a2], [a1 + 1j * a2, a0 - a3]], dtype=complex
     )
@@ -53,6 +63,7 @@ def compose(a0, a1, a2, a3) -> np.ndarray:
 
 def decompose(m):
     """Inverse of compose: coefficients (a0, a1, a2, a3) of a dense matrix."""
+    import numpy as np
     m = np.asarray(m, dtype=complex)
     a0 = (m[0, 0] + m[1, 1]) / 2.0
     a1 = (m[0, 1] + m[1, 0]) / 2.0
@@ -74,7 +85,7 @@ def sin_over_r(r, t):
     return cmath.sin(x) / r
 
 
-def expm_traceless(r, t) -> np.ndarray:
+def expm_traceless(r, t) -> "np.ndarray":
     """exp(-i t (r . sigma)) for a complex 3-vector r.
 
     Uses cos(|r| t) 1 - i (sin(|r| t)/|r|) (r . sigma) with |r| the principal
@@ -95,6 +106,7 @@ def eigenvalues2(m):
     Ordered so |g_plus| >= |g_minus|; exact modulus ties broken by larger
     real part, then larger imaginary part.
     """
+    import numpy as np
     m = np.asarray(m, dtype=complex)
     half_trace = (m[0, 0] + m[1, 1]) / 2.0
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

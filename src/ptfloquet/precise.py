@@ -65,11 +65,13 @@ def _cos_sin(x, hyperbolic):
     the series at t = x / 2^m, |t| < 2^-k, k = isqrt(digits), and m steps of
     sin 2t = 2 sin t cos t, cos 2t = 1 - 2 sin^2 t, or, at x >= 1, the power
     e^x = (cosh t + sinh t)^(2^m), whose squarings cost less (k tripled)."""
-    if hyperbolic and x < 1:  # the series at x; e - 1/e would cancel
+    if not x:
+        return Decimal(1), x
+    k = math.isqrt(decimal.getcontext().prec) * (3 if hyperbolic else 1)
+    m = max(0, math.frexp(float(x))[1] + k)
+    if m == 0 or hyperbolic and x < 1:  # no halving due, or e - 1/e would cancel
         return _taylor_cos_sin(x, hyperbolic)
     with decimal.localcontext() as ctx:
-        k = math.isqrt(ctx.prec) * (3 if hyperbolic else 1)
-        m = max(0, math.frexp(float(x))[1] + k)
         ctx.prec += math.ceil(m * math.log10(2)) + 1
         c, s = _taylor_cos_sin(x / (1 << m), hyperbolic)
         if hyperbolic:
@@ -88,7 +90,7 @@ def _half_step(J, gamma, tau, pi):
     if rr == 0:
         return Decimal(1), tau
     if rr > 0:
-        r = rr.sqrt()
+        r = rr.sqrt() if gamma else J  # the exact root, where rr is J^2
         x = r * tau
         two_pi = 2 * pi
         x -= two_pi * (x / two_pi).to_integral_value()

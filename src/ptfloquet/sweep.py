@@ -1,13 +1,15 @@
 """Dense phase-diagram sweeps over (gamma0, omega) and 1-D threshold scans.
 
-A grid is evaluated one gamma0 row at a time by the row kernel
-floquet._evaluate_row, in forked workers (iter_rows); threshold scans, like
-classify, evaluate one drive at a time with the scalar kernel
-floquet._evaluate.  The row kernel does the common cells with the same
-arithmetic and hands every other to the scalar one, so a grid cell and a
-classify call on the same drive agree bit for bit.
+A grid is evaluated one gamma0 row at a time by the row kernel _evaluate_row,
+in forked workers (iter_rows); threshold scans, like classify, evaluate one
+drive at a time with the scalar kernel floquet._evaluate.  The row kernel
+does the common cells with the same arithmetic (numpy for the correctly
+rounded operations, math for every transcendental, element by element) and
+hands every other to the scalar one, so a grid cell and a classify call on
+the same drive agree bit for bit (test_sweep_matches_pointwise_classify).
 """
 
+import math
 import os
 import pickle
 import signal
@@ -15,9 +17,83 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import floquet
 from .errors import BracketError, ConsistencyError
-from .floquet import BROKEN_CODE, PHASE_BY_CODE, _evaluate, _evaluate_row
+from .floquet import (
+    BROKEN_CODE, DEFAULT_TOL, EXCEPTIONAL_CODE, PHASE_BY_CODE, UNBROKEN_CODE,
+    _ONE_MINUS_ULP, _UNIT_ROUNDOFF, _evaluate,
+)
 from .model import PhaseClass, check_drive
+from .pauli import SERIES_CUTOFF
+
+
+def _math_map(fn, x):
+    """fn from math, element by element: numpy's own transcendentals round
+    differently from math's on some arguments."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _half_step_row(J, gamma, tau):
+    """floquet._half_step over an array of tau, direct form only: NaN where
+    x = k tau lies below SERIES_CUTOFF, as the series form is _evaluate's."""
+    rr = J * J - gamma * gamma
+    k = math.sqrt(abs(rr))
+    x = k * tau
+    if rr >= 0.0:
+        cos, sin = math.cos, math.sin
+    else:
+        cos, sin = math.cosh, math.sinh
+    s = _math_map(sin, x) / k
+    s[x < SERIES_CUTOFF] = math.nan
+    c = _math_map(cos, x)
+    return c + gamma * s, J * s, c - gamma * s
+
+
+def _trace_noise_row(J, gamma0, mu, tau):
+    """floquet.trace_noise over an array of tau, rounded up by 1 + 2^-40 past the
+    few-ulp difference of numpy's exp from math.exp; it only picks the cells
+    to hand to _evaluate, so it may lie above trace_noise but never below."""
+    growth, poly, amp = np.zeros_like(tau), 1.0, 1.0
+    for gamma in (gamma0, abs(mu) * gamma0):
+        rr = abs(J * J - gamma * gamma)
+        if gamma > J:
+            growth += math.sqrt(rr) * tau
+        poly *= 1.0 + (gamma + J) * tau
+        inv_rr = 1.0 / rr if rr else 0.0  # never chosen at rr == 0
+        amp += (J * J + gamma * gamma) * np.where(
+            rr * tau * tau > 1.0, inv_rr, tau * tau
+        )
+    return 16.0 * _UNIT_ROUNDOFF * (1.0 + 2.0**-40) * np.exp(growth) * poly * amp
+
+
+def _evaluate_row(J, gamma0, mu, omega_axis):
+    """_evaluate for one gamma0 over a float64 array of omega, as arrays
+    (half_trace, c, code).  The row settles the common cells and overwrites
+    every other with _evaluate's result, so each cell is bit-identical to
+    _evaluate's: a series half step, a half trace NaN or within the row's
+    noise bound of +-1, and each cell of a row whose half step overflows."""
+    tau = math.pi / omega_axis
+    with np.errstate(all="ignore"):  # overflow to inf is expected, as in floats
+        try:
+            a00, a01, a11 = _half_step_row(J, gamma0, tau)
+            b00, b01, b11 = _half_step_row(J, mu * gamma0, tau)
+            half_trace = 0.5 * ((b00 * a00 - b01 * a01) + (b11 * a11 - b01 * a01))
+        except OverflowError:  # from math.sinh or math.cosh
+            half_trace = np.full_like(tau, math.nan)
+        noise = _trace_noise_row(J, gamma0, mu, tau)
+        hard = ~(np.abs(np.abs(half_trace) - 1.0) > noise)  # NaN is hard too
+        h = np.abs(half_trace)
+        big = h + np.sqrt(h * h - 1.0)
+        # fmin drops the NaN of inf/inf where big overflows
+        c = np.where(
+            h <= 1.0, 0.0, np.fmin((big - 1.0 / big) / (big + 1.0 / big), _ONE_MINUS_ULP)
+        )
+    code = np.where(h - 1.0 <= DEFAULT_TOL, EXCEPTIONAL_CODE, BROKEN_CODE)
+    code[h <= 1.0] = UNBROKEN_CODE
+    for j in np.flatnonzero(hard).tolist():
+        omega = float(omega_axis[j])  # handed over through classify's binding
+        half_trace[j], c[j], code[j] = floquet._evaluate(J, gamma0, mu, omega)
+    return half_trace, c, code
 
 
 @dataclass(frozen=True)

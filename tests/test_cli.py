@@ -18,7 +18,7 @@ from conftest import SRC
 from ptfloquet import DrivingSpec, classify, cli, floquet, monodromy, sweep
 from ptfloquet.cli import main, render_ppm, render_sweep_csv
 from ptfloquet.errors import ConsistencyError
-from ptfloquet.sweep import sweep_grid
+from ptfloquet.sweep import _evaluate_row, sweep_grid
 
 
 def run_cli(capsys, *argv):
@@ -410,12 +410,12 @@ def test_streamed_sweep_bytes_equal_the_library_renderers(tmp_path, capsys, monk
 
 
 def _row_failing_from_gamma0_2(J, gamma0, mu, omega_axis):
-    """floquet._evaluate_row, but a ValueError for each gamma0 >= 2: a fault
+    """sweep._evaluate_row, but a ValueError for each gamma0 >= 2: a fault
     made here, so that a test does not rest on a drive the kernel cannot
     evaluate today."""
     if gamma0 >= 2.0:
         raise ValueError(f"no row at gamma0={gamma0!r}")
-    return floquet._evaluate_row(J, gamma0, mu, omega_axis)
+    return _evaluate_row(J, gamma0, mu, omega_axis)
 
 
 def test_forked_sweep_fails_at_its_row_like_one_worker(tmp_path, capsys, monkeypatch):

@@ -18,10 +18,8 @@ from ptfloquet import (
 )
 from ptfloquet import floquet, precise, sweep
 from ptfloquet.errors import ConsistencyError
-from ptfloquet.floquet import (
-    BROKEN_CODE, DEFAULT_TOL, UNBROKEN_CODE, _trace_noise_row, trace_noise
-)
-from ptfloquet.sweep import iter_rows
+from ptfloquet.floquet import BROKEN_CODE, DEFAULT_TOL, UNBROKEN_CODE, trace_noise
+from ptfloquet.sweep import _trace_noise_row, iter_rows
 
 
 def test_grid_axis_exact_endpoints_and_refinement():
