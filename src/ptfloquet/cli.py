@@ -124,6 +124,9 @@ def cmd_classify(args) -> int:
 def cmd_sweep(args) -> int:
     from .sweep import iter_rows  # and numpy, which classify never loads
     # refuse before computing, so a refusal leaves no output behind
+    for flag, path in (("--out", args.out), ("--ppm", args.ppm)):
+        if path == "":  # realpath("") would be the working directory
+            raise ValueError(f"{flag} needs a file path, got ''")
     if args.ppm is not None and os.path.realpath(args.out) == os.path.realpath(args.ppm):
         raise ValueError(f"--out and --ppm name the same file {args.out}")
     for path in (args.out, args.ppm):

@@ -184,7 +184,6 @@ def _forked_rows(make, gammas):
         yield from map(make, gammas)
         return
     readers, pids = [], []
-    done = False
     try:
         for k in range(workers):
             read_fd, write_fd = os.pipe()
@@ -205,16 +204,14 @@ def _forked_rows(make, gammas):
             if not made:
                 raise value
             yield value
-        done = True
     finally:
         for reader in readers:
             reader.close()
         for pid in pids:
-            # a worker left early may be making rows, or be blocked on a pipe
-            # whose read end another sweep's workers inherited, where no
-            # broken pipe would ever end it
-            if not done:
-                os.kill(pid, signal.SIGKILL)
+            # a worker may still be making rows, or be blocked on a pipe whose
+            # read end another sweep's workers inherited, where no broken pipe
+            # would ever end it; one whose rows were all read is in os._exit
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 

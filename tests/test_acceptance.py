@@ -7,9 +7,9 @@ class may differ only where the cell's half trace lies within the kernel's
 rounding-noise bound of a class boundary.  Their CSV bytes are pinned by
 SHA-256 per platform in manifest.json: each pin records a fingerprint of
 the libm results the bytes depend on, and the byte check is asserted
-wherever the fingerprint matches.  A missing manifest is bootstrapped on
-the first run (after the structural review passes).  A pin for a new
-platform is added only on request, by running this file as a script.
+wherever the fingerprint matches.  The test only reads golden/, and a
+missing golden file fails it.  Running this file as a script only adds a
+pin for a new platform, after the same review and class-grid comparison.
 """
 
 import cmath
@@ -370,13 +370,15 @@ def _figure_grids():
 def _platform_record():
     """What decides the figure CSV bytes beyond the program itself.
 
-    fingerprint digests the libm results the kernel and the CSV use:
-    cmath.sin and cmath.cos at real arguments up to 32 and imaginary ones
-    up to 128 (the panels reach |r tau| = 31.4 oscillating and 122
-    growing), and complex moduli (hypot).  python is the minor version,
-    whose own float formatting and complex arithmetic also shape the bytes.
-    numpy, libc and machine are recorded for people to read; pins are
-    matched on fingerprint and python alone.
+    fingerprint digests the libm results the kernel uses: its math.sin,
+    cos, sinh and cosh, which cmath.sin and cmath.cos reach at real
+    arguments up to 32 and imaginary ones up to 128 (the panels reach
+    |r tau| = 31.4 oscillating and 122 growing).  The kernel takes no
+    complex moduli; hypot stays in the digest only so that the recorded
+    pins keep matching.  python is the minor version, whose own float
+    formatting and complex arithmetic also shape the bytes.  numpy, libc
+    and machine are recorded for people to read; pins are matched on
+    fingerprint and python alone.
     """
     digest = hashlib.sha256()
     for k in range(1, 2048):
@@ -447,28 +449,6 @@ def test_criterion_9_figure_regression():
     digests = _csv_digests(grids)
     mini_blob = render_sweep_csv(_mini_golden_grid()).encode("ascii")
 
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    if not MANIFEST_PATH.exists():
-        # first run: review gates the golden generation, then pin everything
-        assert not problems, f"structure review failed at bootstrap: {problems}"
-        manifest = {
-            "grid": {
-                "gamma_range": FIGURE_GAMMA_RANGE,
-                "omega_range": FIGURE_OMEGA_RANGE,
-                "J": 1.0,
-                "tol": 1e-9,
-            },
-            "pins": [{"platform": record, "sha256": digests}],
-        }
-        MANIFEST_PATH.write_text(json.dumps(manifest, indent=2) + "\n")
-        np.savez_compressed(
-            CLASSES_PATH, **{repr(mu): grid.classes for mu, grid in grids.items()}
-        )
-        MINI_GOLDEN_PATH.write_bytes(mini_blob)
-        bootstrapped = True
-    else:
-        bootstrapped = False
-
     tolerated, class_failures = _class_changes(grids)
     pin = _matching_pin(json.loads(MANIFEST_PATH.read_text())["pins"], record)
     if pin is None:
@@ -494,8 +474,7 @@ def test_criterion_9_figure_regression():
         f"six 400x400 sweeps in {elapsed:.1f} s; class grids: {class_detail}, "
         f"{tolerated} inside it; byte pin for platform {record['fingerprint']} "
         f"(Python {record['python']}): {byte_detail}; mini golden match: "
-        f"{mini_matches}; review problems: {problems or 'none'}"
-        + (" (bootstrapped manifest)" if bootstrapped else ""),
+        f"{mini_matches}; review problems: {problems or 'none'}",
     )
 
 

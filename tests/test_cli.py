@@ -245,6 +245,36 @@ def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):
     assert run_cli(capsys, *good, "--force")[0] == 0
 
 
+def test_sweep_refuses_an_empty_output_path_before_computing(
+    tmp_path, capsys, monkeypatch
+):
+    # an empty path would resolve to the working directory: it is refused
+    # up front, naming its flag, before any row is made or any file staged
+    # beside the working directory
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setattr(sweep, "resolve_workers", lambda: 1)
+    rows_made = []
+
+    def counted_row(*args):
+        rows_made.append(args)
+        return _evaluate_row(*args)
+
+    monkeypatch.setattr(sweep, "_evaluate_row", counted_row)
+    grid = ["sweep", "--mu", "0", "--gamma-steps", "2", "--omega-steps", "2"]
+    for extra, flag in [
+        (["--out", ""], "--out"),
+        (["--out", "", "--force"], "--out"),
+        (["--out", "grid.csv", "--ppm", ""], "--ppm"),
+    ]:
+        code, out, err = run_cli(capsys, *grid, *extra)
+        assert code == 2 and out == "", extra
+        assert err == f"pt-floquet: {flag} needs a file path, got ''\n", extra
+        assert rows_made == []
+        assert list(cwd.iterdir()) == [] and list(tmp_path.iterdir()) == [cwd]
+
+
 def test_failed_sweep_leaves_existing_outputs_untouched(tmp_path, capsys):
     # outputs are staged beside their targets and renamed into place only
     # after every write has succeeded: a PPM that cannot be written leaves
