@@ -3,7 +3,7 @@ CSV (optionally a PPM heatmap), and emit analytic boundary curves.
 
 All quantities are expressed in units of the coupling J (J defaults to 1;
 rescaling is the caller's responsibility).  Exit codes: 0 success, 2 bad
-usage, parameters or output paths, 3 internal consistency failure.
+usage, parameters, output paths or memory, 3 internal consistency failure.
 """
 
 import argparse
@@ -39,12 +39,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _csv_chunks(mu, J, csv_rows):
-    """The sweep CSV as ASCII chunks: tagged header line and column header,
-    then the _csv_row chunks in csv_rows, one per gamma0 row."""
+def _csv_header(mu, J) -> bytes:
+    """The sweep CSV's tagged header line and column header."""
     header = f"# pt-floquet sweep mu={_fmt(mu)} J={_fmt(J)} tol={_fmt(DEFAULT_TOL)}"
-    yield f"{header}\n{CSV_COLUMNS}\n".encode("ascii")
-    yield from csv_rows
+    return f"{header}\n{CSV_COLUMNS}\n".encode("ascii")
 
 
 def _csv_row(omega_strs, gamma0, half_trace, c, code) -> bytes:
@@ -69,29 +67,24 @@ def _ppm_row(c, code) -> bytes:
     return pixels.tobytes()
 
 
-def _ppm_chunks(n_gamma, n_omega, pixel_rows):
-    """Binary P6 heatmap of the n_gamma _ppm_row rows in pixel_rows, ascending
-    in gamma0: width = omega steps, height = gamma steps, top row = gamma max.
-    The list is read only once the first chunk is asked for, so it may be
-    filled until then, but must then hold every row."""
-    if len(pixel_rows) != n_gamma:
-        raise ConsistencyError(f"the PPM has {len(pixel_rows)} of {n_gamma} rows")
-    yield f"P6\n{n_omega} {n_gamma}\n255\n".encode("ascii")
-    yield from reversed(pixel_rows)
+def _ppm_header(n_gamma, n_omega) -> bytes:
+    """Header of the binary P6 heatmap: width = omega steps, height = gamma
+    steps.  Its _ppm_row rows follow top row first, that is gamma max."""
+    return f"P6\n{n_omega} {n_gamma}\n255\n".encode("ascii")
 
 
 def render_sweep_csv(grid: "PhaseGrid") -> str:
-    """CSV document for a sweep: _csv_chunks over the grid's rows, joined."""
+    """CSV document for a sweep: _csv_header, then the grid's rows."""
     omega_strs = [_fmt(omega) for omega in grid.omega_axis.tolist()]
     rows = zip(grid.gamma_axis.tolist(), grid.trace_half, grid.c_values, grid.classes)
     csv_rows = (_csv_row(omega_strs, *row) for row in rows)
-    return b"".join(_csv_chunks(grid.mu, grid.J, csv_rows)).decode("ascii")
+    return b"".join([_csv_header(grid.mu, grid.J), *csv_rows]).decode("ascii")
 
 
 def render_ppm(grid: "PhaseGrid") -> bytes:
-    """PPM heatmap of a sweep: _ppm_chunks over the grid's rows, joined."""
+    """PPM heatmap of a sweep: _ppm_header, then the grid's rows reversed."""
     pixel_rows = [_ppm_row(c, code) for c, code in zip(grid.c_values, grid.classes)]
-    return b"".join(_ppm_chunks(*grid.c_values.shape, pixel_rows))
+    return b"".join([_ppm_header(*grid.c_values.shape), *reversed(pixel_rows)])
 
 
 def cmd_classify(args) -> int:
@@ -143,37 +136,27 @@ def cmd_sweep(args) -> int:
     # formatted once, here, before the first row is asked for: the sweep's
     # workers fork then and inherit it
     omega_strs = [_fmt(omega) for omega in omega_axis.tolist()]
-    # the sweep's workers make and render each gamma0 row as the CSV is
-    # written, its PPM pixels only with --ppm, and only those pixels are
-    # kept, for the PPM written after it.  All or nothing: a new or
-    # regular-file output is staged beside its target and renamed into place
-    # once every write has succeeded, so a failure leaves existing files as
-    # they were; any other existing target (a FIFO, a device such as
-    # /dev/stdout) cannot be replaced and is written in place, as plain
-    # open() would, and keeps the rows written before a failure
-    pixel_rows = []
-    def csv_rows():  # each (csv_row, pixels) of rows, passed on as its CSV
-        for csv_row, pixels in rows:
-            if args.ppm is not None:
-                pixel_rows.append(pixels)
-            yield csv_row
-    renders = {args.out: _csv_chunks(args.mu, args.J, csv_rows())}
-    if args.ppm is not None:
-        renders[args.ppm] = _ppm_chunks(gamma_axis.size, omega_axis.size, pixel_rows)
-    staged = {}
+    # one pass: the workers make and render each gamma0 row as the CSV is
+    # written, and only its PPM pixels are kept, for the PPM, opened once the
+    # CSV is closed (opening a FIFO waits for a reader); staged outputs are
+    # renamed into place last, so a failure leaves existing files as they were
+    pixel_rows, staged = [], {}
+    path = args.out
     # closing rows ends its workers on every path, before this returns
     with contextlib.closing(rows):
         try:
-            for path, render in renders.items():
-                if os.path.exists(path) and not os.path.isfile(path):
-                    with open(path, "wb") as fh:
-                        fh.writelines(render)
-                    continue
-                target = os.path.realpath(path)  # through a symlink, as open() writes
-                part = f"{target}.{os.getpid()}.part"
-                with open(part, "xb") as fh:  # mode as open()'s
-                    staged[part] = path, target
-                    fh.writelines(render)
+            with _open_output(path, staged) as fh:
+                fh.write(_csv_header(args.mu, args.J))
+                for csv_row, pixels in rows:
+                    fh.write(csv_row)
+                    if pixels is not None:  # with --ppm
+                        pixel_rows.append(pixels)
+            if args.ppm is not None:
+                path = args.ppm
+                with _open_output(path, staged) as fh:
+                    fh.write(_ppm_header(gamma_axis.size, omega_axis.size))
+                    fh.writelines(reversed(pixel_rows))
+            for part, (path, target) in staged.items():
                 if os.path.exists(target):  # an overwritten file keeps its mode
                     shutil.copymode(target, part)
             for part, (path, target) in staged.items():
@@ -184,6 +167,22 @@ def cmd_sweep(args) -> int:
             for part in filter(os.path.exists, staged):  # renamed ones are gone
                 os.remove(part)
     return 0
+
+
+def _open_output(path, staged):
+    """Open a sweep output for writing.  A new or regular-file output is
+    staged beside its target (through a symlink, as open() writes) and
+    recorded in staged as part: (path, target), for the caller to rename
+    into place.  Any other existing target (a FIFO, a device such as
+    /dev/stdout) cannot be replaced and is opened in place, as plain
+    open() would."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        return open(path, "wb")
+    target = os.path.realpath(path)
+    part = f"{target}.{os.getpid()}.part"
+    fh = open(part, "xb")  # mode as open()'s
+    staged[part] = path, target
+    return fh
 
 
 def cmd_boundary(args) -> int:
@@ -303,6 +302,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"pt-floquet: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("pt-floquet: out of memory", file=sys.stderr)
         return 2
 
 

@@ -195,15 +195,15 @@ def _forked_rows(make, gammas):
             pids.append(pid)
         for i, gamma0 in enumerate(gammas):
             try:
-                made, value = pickle.load(readers[i % workers])
+                row = pickle.load(readers[i % workers])
             except (EOFError, pickle.UnpicklingError):
                 raise ConsistencyError(
                     f"the sweep worker making row gamma0={gamma0!r} ended "
                     "before sending it"
                 ) from None
-            if not made:
-                raise value
-            yield value
+            if isinstance(row, Exception):  # the one that stopped the worker
+                raise row
+            yield row
     finally:
         for reader in readers:
             reader.close()
@@ -216,23 +216,22 @@ def _forked_rows(make, gammas):
 
 
 def _work(out, readers, make, gammas):
-    """A forked worker: send make(gamma0) for each of gammas down out, as
-    (True, row), or the exception that stops it as (False, exception), each
-    pickled whole before it is written, so that only this process's death
-    can cut a message short.  It ends only through os._exit, so that none
-    of the parent's code runs here: no buffered file is flushed, no atexit
-    handler runs and no caller's finally clause runs."""
+    """A forked worker: send make(gamma0) for each of gammas down out, or the
+    exception that stops it, each pickled whole before it is written, so that
+    only this process's death can cut a message short.  It ends only through
+    os._exit, so that none of the parent's code runs here: no buffered file
+    is flushed, no atexit handler runs and no caller's finally clause runs."""
     try:
         for reader in readers:  # the parent's read ends, this worker's among them
             reader.close()
         for gamma0 in gammas:
             try:
-                message = True, make(gamma0)
+                message = make(gamma0)
             except Exception as exc:  # raised in the parent, at this row
-                message = False, exc
+                message = exc
             out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
             out.flush()
-            if not message[0]:
+            if isinstance(message, Exception):
                 break
     finally:
         os._exit(0)

@@ -17,7 +17,6 @@ from conftest import SRC
 
 from ptfloquet import DrivingSpec, classify, cli, floquet, monodromy, sweep
 from ptfloquet.cli import main, render_ppm, render_sweep_csv
-from ptfloquet.errors import ConsistencyError
 from ptfloquet.sweep import _evaluate_row, sweep_grid
 
 
@@ -376,16 +375,6 @@ def test_ppm_pixel_mapping():
             assert tuple(pixels[row, j]) == expected
 
 
-def test_ppm_refuses_a_pixel_list_short_of_its_rows():
-    # sweep fills the PPM's rows as the CSV is written; a PPM read before
-    # the CSV was drained must fail, not write a short image
-    row = cli._ppm_row(np.array([0.0, 1.0]), np.array([0, 1], dtype=np.int8))
-    assert b"".join(cli._ppm_chunks(1, 2, [row])) == b"P6\n2 1\n255\n" + row
-    for pixel_rows in ([], [row, row]):
-        with pytest.raises(ConsistencyError, match=f"the PPM has {len(pixel_rows)} of 1"):
-            next(cli._ppm_chunks(1, 2, pixel_rows))
-
-
 def test_streamed_sweep_bytes_equal_the_library_renderers(tmp_path, capsys, monkeypatch):
     # sweep writes each row as it is made; its files must be the bytes the
     # library renderers make from the whole grid.  The grids are those of
@@ -474,6 +463,37 @@ def test_forked_sweep_fails_at_its_row_like_one_worker(tmp_path, capsys, monkeyp
     assert code == 2 and out == "" and err == "pt-floquet: no row at gamma0=2.0\n"
     lines = received.decode("ascii").splitlines()
     assert len(lines) == 2 + 4 * 5 and lines[-1].startswith("1.5,")
+
+
+def test_sweep_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # a failed allocation, whether the parent's (the axes) or a worker's (a
+    # row, forwarded to the parent like any exception), exits 2 with one
+    # line and leaves no output
+    def no_memory(*args):
+        raise MemoryError()
+
+    def no_memory_from_gamma0_2(J, gamma0, mu, omega_axis):
+        if gamma0 >= 2.0:
+            raise MemoryError()
+        return _evaluate_row(J, gamma0, mu, omega_axis)
+
+    out_file = tmp_path / "grid.csv"
+    argv = [
+        "sweep", "--mu", "0", "--gamma-min", "0", "--gamma-max", "4",
+        "--gamma-steps", "9", "--omega-steps", "5", "--out", str(out_file),
+        "--ppm", str(tmp_path / "grid.ppm"),
+    ]
+    cases = [("grid_axis", no_memory, 1)]
+    cases += [("_evaluate_row", no_memory_from_gamma0_2, w) for w in (1, 2)]
+    for name, fault, workers in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, name, fault)
+            patch.setattr(sweep, "resolve_workers", lambda: workers)
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", (name, workers)
+        assert err.startswith("pt-floquet: out of memory"), (name, workers)
+        assert err.count("\n") == 1 and err.endswith("\n"), (name, workers)
+        assert list(tmp_path.iterdir()) == [], (name, workers)
 
 
 def test_no_sweep_worker_outlives_the_call(tmp_path, capsys, monkeypatch):

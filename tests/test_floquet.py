@@ -32,6 +32,7 @@ from ptfloquet.floquet import (
     EXCEPTIONAL_CODE,
     UNBROKEN_CODE,
     _phase_code,
+    _quasienergy_from_half_trace,
     trace_noise,
 )
 from ptfloquet.pauli import SIGMA_Z
@@ -80,11 +81,20 @@ def test_quasienergy_identity_and_static():
     eps = quasienergy(monodromy(spec), spec.tau)
     assert eps.imag == 0.0
     assert eps.real == pytest.approx(0.8, abs=1e-12)
-    # omega = 1: 0.8 folds to 0.2 by reflection at the zone edge
+    # omega = 1: acos already returns 0.2, the image of 0.8 in the half zone
     spec = DrivingSpec(gamma0=0.6, mu=1.0, omega=1.0)
     eps = quasienergy(monodromy(spec), spec.tau)
     assert eps.real == pytest.approx(0.2, abs=1e-12)
     assert 0.0 <= eps.real <= spec.omega / 2.0
+    # at h = -1 and tau = pi / omega, as classify passes them, acos(-1) / (2 tau)
+    # rounds above omega / 2 for some omega (1.8798370568250282 is one): it
+    # is reflected back into the half zone
+    rng = np.random.default_rng(20261019)
+    omegas = np.exp(rng.uniform(-5.0, 5.0, 200)).tolist()
+    assert any(math.pi / (2.0 * (math.pi / omega)) > omega / 2.0 for omega in omegas)
+    for omega in omegas:
+        eps = _quasienergy_from_half_trace(-1.0 + 0.0j, math.pi / omega, omega)
+        assert eps.imag == 0.0 and 0.0 <= eps.real <= omega / 2.0, omega
 
 
 def test_quasienergy_broken_point_has_growth():
