@@ -90,6 +90,7 @@ def render_ppm(grid: "PhaseGrid") -> bytes:
 def cmd_classify(args) -> int:
     spec = DrivingSpec(gamma0=args.gamma0, mu=args.mu, omega=args.omega, J=args.J)
     result = classify(spec)
+    eps_f = result.eps_f
     doc = {
         "gamma0": args.gamma0,
         "mu": args.mu,
@@ -97,8 +98,8 @@ def cmd_classify(args) -> int:
         "J": args.J,
         "c": result.c,
         "phase": result.phase.value,
-        "eps_f_re": result.eps_f.real,
-        "eps_f_im": result.eps_f.imag,
+        "eps_f_re": eps_f.real,
+        "eps_f_im": eps_f.imag,
         "trace_half": result.half_trace,
         "g_plus_abs": abs(result.g_plus),
         "g_minus_abs": abs(result.g_minus),

@@ -4,6 +4,8 @@ The drive is piecewise constant, so the one-period propagator is a product
 of two closed-form exponentials, each with a real diagonal and an imaginary
 off-diagonal; the kernel carries their real numbers, and the half trace is
 real.  Everything here is a pure function of the drive parameters.
+classify returns a FloquetResult that holds the drive, its half trace, c
+and phase; its eigenvalues and quasienergy are computed when read.
 
 _evaluate is the scalar kernel of classify and threshold scans, in math
 alone; its row form, for one gamma0 row of a grid, is sweep._evaluate_row,
@@ -37,21 +39,40 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 @dataclass(frozen=True)
 class FloquetResult:
-    """Classification of one drive: the eigenvalue pair of its monodromy
-    (|g_plus| >= |g_minus|, product 1), the quasienergy representative with
-    Re in [0, omega/2] and Im >= 0, the amplification rate c and the phase.
+    """Classification of one drive: the amplification rate c, the phase and
+    the half trace they rest on, tr(monodromy(spec))/2 or, within its
+    rounding noise of +-1, the extended-precision value.  The eigenvalues
+    and the quasienergy are computed from it on each read."""
 
-    half_trace is the trace half the verdict rests on.  It equals
-    tr(monodromy(spec))/2 unless that value lay within its rounding noise of
-    +-1, where it is the extended-precision value instead.
-    """
-
-    g_plus: complex
-    g_minus: complex
-    eps_f: complex
+    spec: DrivingSpec
+    half_trace: float
     c: float
     phase: PhaseClass
-    half_trace: float
+
+    @property
+    def g_plus(self) -> complex:
+        """(g_plus, g_minus), |g_plus| >= |g_minus|, are the roots of
+        l^2 - 2 h l + 1; for |h| >= 2^27 they are 2h and 0.5/h, exactly as
+        quadratic_roots gives them wherever h*h stays finite."""
+        h = self.half_trace
+        if abs(h) >= 2.0**27:
+            return complex(2.0 * h)
+        return quadratic_roots(complex(h), 1.0 + 0j)[0]
+
+    @property
+    def g_minus(self) -> complex:
+        """The smaller eigenvalue; see g_plus."""
+        h = self.half_trace
+        if abs(h) >= 2.0**27:
+            return 0.5 / complex(h)
+        return quadratic_roots(complex(h), 1.0 + 0j)[1]
+
+    @property
+    def eps_f(self) -> complex:
+        """Quasienergy with Re in [0, omega/2], folded by the drive's own
+        omega, and Im >= 0; h = +-inf has Im eps_f = inf."""
+        tau, omega = self.spec.tau, self.spec.omega
+        return _quasienergy_from_half_trace(complex(self.half_trace), tau, omega)
 
 
 def _half_step(J, gamma, tau):
@@ -255,24 +276,12 @@ def amplification_rate(m) -> float:
 
 
 def classify(spec: DrivingSpec) -> FloquetResult:
-    """Eigenvalues, quasienergy, amplification rate and phase of one drive.
+    """Half trace, amplification rate and phase of one drive; the
+    result's g_plus, g_minus and eps_f are computed when read.
 
     The phase follows from the half trace h = tr/2 alone: Unbroken when
     |h| <= 1 (c == 0), Exceptional in the fixed band 1 < |h| <= 1 +
-    DEFAULT_TOL next to the boundary, Broken beyond.  For |h| >= 2^27 the
-    roots are g_plus = 2h and g_minus = 0.5/h, exactly as quadratic_roots
-    gives them wherever h*h stays finite; h = +-inf has Im eps_f = inf.
+    DEFAULT_TOL next to the boundary, Broken beyond.
     """
     half_trace, c, code = _evaluate(spec.J, spec.gamma0, spec.mu, spec.omega)
-    if abs(half_trace) >= 2.0**27:
-        g_plus, g_minus = complex(2.0 * half_trace), 0.5 / complex(half_trace)
-    else:
-        g_plus, g_minus = quadratic_roots(complex(half_trace), 1.0 + 0j)
-    return FloquetResult(
-        g_plus=g_plus,
-        g_minus=g_minus,
-        eps_f=_quasienergy_from_half_trace(complex(half_trace), spec.tau, spec.omega),
-        c=c,
-        phase=PHASE_BY_CODE[code],
-        half_trace=half_trace,
-    )
+    return FloquetResult(spec, half_trace, c, PHASE_BY_CODE[code])

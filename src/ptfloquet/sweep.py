@@ -120,10 +120,11 @@ class PhaseGrid:
 def grid_axis(lo, hi, count) -> np.ndarray:
     """Exact interpolation nodes lo + k*(hi - lo)/(count - 1).
 
-    Written index-by-index (no running sums) so refined grids share bit
-    patterns with coarse ones on the common nodes.
+    Each node comes from its own float index (no running sums, no integer
+    wraparound), so refined grids share bit patterns with coarse ones on the
+    common nodes.  One allocation: a count that cannot be held fails at once.
     """
-    return np.array([lo + k * (hi - lo) / (count - 1) for k in range(count)])
+    return lo + np.arange(count, dtype=float) * (hi - lo) / (count - 1)
 
 
 def resolve_workers() -> int:

@@ -439,6 +439,18 @@ def _class_changes(grids):
     return tolerated, failures
 
 
+def _first_line_difference(expected, actual):
+    """The first line (1-based) where two texts differ, with both versions;
+    a text that ends before the other reads <end of file> there."""
+    old, new = expected.splitlines(), actual.splitlines()
+    for number in range(1, max(len(old), len(new)) + 1):
+        want = old[number - 1] if number <= len(old) else "<end of file>"
+        got = new[number - 1] if number <= len(new) else "<end of file>"
+        if want != got:
+            return f"line {number}: expected {want!r}, got {got!r}"
+    return "line endings differ"
+
+
 def test_criterion_9_figure_regression():
     start = time.perf_counter()
     grids = _figure_grids()
@@ -457,7 +469,14 @@ def test_criterion_9_figure_regression():
     else:
         bytes_ok = pin["sha256"] == digests
         byte_detail = f"match: {bytes_ok}"
-    mini_matches = MINI_GOLDEN_PATH.read_bytes() == mini_blob
+    mini_golden = MINI_GOLDEN_PATH.read_bytes()
+    mini_matches = mini_golden == mini_blob
+    mini_detail = str(mini_matches)
+    if not mini_matches:
+        first = _first_line_difference(
+            mini_golden.decode("ascii", "replace"), mini_blob.decode("ascii")
+        )
+        mini_detail += f" (first difference at {first})"
     ok = (
         not class_failures
         and bytes_ok
@@ -474,7 +493,7 @@ def test_criterion_9_figure_regression():
         f"six 400x400 sweeps in {elapsed:.1f} s; class grids: {class_detail}, "
         f"{tolerated} inside it; byte pin for platform {record['fingerprint']} "
         f"(Python {record['python']}): {byte_detail}; mini golden match: "
-        f"{mini_matches}; review problems: {problems or 'none'}",
+        f"{mini_detail}; review problems: {problems or 'none'}",
     )
 
 

@@ -496,6 +496,37 @@ def test_sweep_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch
         assert list(tmp_path.iterdir()) == [], (name, workers)
 
 
+# runs the CLI on the argv after it under a 500 MB address-space limit, so
+# a sweep that grows without bound fails instead of taking over the machine
+_LIMITED_CLI = (
+    "import resource, runpy, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (500_000_000, 500_000_000)); "
+    "sys.argv[0] = 'pt-floquet'; "
+    "runpy.run_module('ptfloquet', run_name='__main__', alter_sys=True)"
+)
+
+
+def test_sweep_step_count_that_cannot_be_held_fails_at_once(tmp_path):
+    # the gamma axis is one array allocation, refused at once: 10**20 nodes
+    # exceed numpy's largest array (a ValueError), 10**15 (8 PB) any memory;
+    # an axis built node by node would instead run into the limit
+    for steps in (10**20, 10**15):
+        out_file = tmp_path / "huge.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMITED_CLI, "sweep", "--mu", "0",
+             "--gamma-steps", str(steps), "--omega-steps", "2",
+             "--out", str(out_file), "--force"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 2 and proc.stdout == "", (steps, proc.stderr)
+        assert proc.stderr.startswith("pt-floquet: "), steps
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), steps
+        if steps == 10**20:
+            assert proc.stderr != "pt-floquet: out of memory\n"
+        assert list(tmp_path.iterdir()) == [], steps
+
+
 def test_no_sweep_worker_outlives_the_call(tmp_path, capsys, monkeypatch):
     # every worker is reaped before main returns: after a success, after a
     # write that fails (ENOSPC) while the workers still have rows to make,

@@ -2,6 +2,7 @@
 classification."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from ptfloquet import (
     decompose,
     eigenvalues2,
     expm_traceless,
+    floquet,
     h_pt,
     monodromy,
     mu0_sliver,
@@ -31,6 +33,7 @@ from ptfloquet.floquet import (
     DEFAULT_TOL,
     EXCEPTIONAL_CODE,
     UNBROKEN_CODE,
+    FloquetResult,
     _phase_code,
     _quasienergy_from_half_trace,
     trace_noise,
@@ -223,6 +226,26 @@ def test_classify_result_invariants():
         if r.phase is PhaseClass.UNBROKEN:
             assert r.c <= 1e-9
             assert abs(abs(r.g_plus) - 1.0) <= 1e-9
+
+
+def test_classify_computes_no_spectrum(monkeypatch):
+    # classify stores what the kernel decides; the eigenvalues and the
+    # quasienergy are computed only when read
+    def no_spectrum(*args):
+        raise AssertionError("spectrum computed")
+
+    assert [f.name for f in dataclasses.fields(FloquetResult)] == [
+        "spec", "half_trace", "c", "phase",
+    ]
+    monkeypatch.setattr(floquet, "quadratic_roots", no_spectrum)
+    monkeypatch.setattr(floquet, "_quasienergy_from_half_trace", no_spectrum)
+    for spec in (DrivingSpec(0.5, 1.0, 3.0), DrivingSpec(0.6, -1.0, 1.6)):
+        r = classify(spec)
+        assert r.spec is spec and isinstance(r.phase, PhaseClass)
+        assert 0.0 <= r.c < 1.0 and math.isfinite(r.half_trace)
+        for name in ("g_plus", "g_minus", "eps_f"):
+            with pytest.raises(AssertionError, match="spectrum computed"):
+                getattr(r, name)
 
 
 def test_rate_saturates_where_the_half_trace_squared_overflows():

@@ -30,6 +30,14 @@ def test_grid_axis_exact_endpoints_and_refinement():
     np.testing.assert_array_equal(coarse, fine[::2])
 
 
+def test_grid_axis_integer_bounds_match_float_bounds():
+    # k * (hi - lo) in int64 would wrap around beyond 9.2e18
+    for hi in (4, 10**17):
+        axis = grid_axis(0, hi, 401)
+        np.testing.assert_array_equal(axis, grid_axis(0.0, float(hi), 401))
+        assert axis.dtype == np.float64 and axis[-1] == hi
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_grid(0.0, 1.0, (0.0, 1.0, 1), (0.1, 2.0, 10))
