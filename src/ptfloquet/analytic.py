@@ -141,11 +141,11 @@ def broken_ellipse(n, J=1.0, samples=64) -> BoundaryCurve:
 def _ellipse_curve(family, n, scale, J, samples):
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    # in units of J, whose square under- or overflows far inside double range
     points = []
     for k in range(samples):
-        gamma0 = J * k / samples
-        omega = math.sqrt(J * J - gamma0 * gamma0) / scale
-        points.append((gamma0, omega))
+        t = k / samples
+        points.append((J * t, J * math.sqrt(1.0 - t * t) / scale))
     return BoundaryCurve(family=family, n=n, J=J, points=tuple(points))
 
 
@@ -163,8 +163,12 @@ def mu_minus1_unbroken(spec: DrivingSpec) -> bool:
 
 def asymptotic_boundary(gamma, J=1.0) -> float:
     """Large-(gamma, omega) phase boundary omega = pi gamma / asinh(gamma/J)
-    of the gain/loss-reversing drive; valid for gamma > J."""
-    return math.pi * gamma / math.asinh(gamma / J)
+    of the gain/loss-reversing drive; valid for gamma > J.  Where gamma / J
+    overflows, asinh(gamma / J) = log(2 gamma / J) to double precision."""
+    ratio = gamma / J
+    if ratio < math.inf:
+        return math.pi * gamma / math.asinh(ratio)
+    return math.pi * gamma / (math.log(2.0) + math.log(gamma) - math.log(J))
 
 
 def asymptotic_boundary_log(gamma, J=1.0) -> float:

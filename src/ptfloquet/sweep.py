@@ -2,7 +2,9 @@
 
 A grid is evaluated one gamma0 row at a time by the row kernel _evaluate_row,
 in forked workers (iter_rows); threshold scans, like classify, evaluate one
-drive at a time with the scalar kernel floquet._evaluate.  The row kernel
+drive at a time with the scalar kernel floquet._evaluate, and find the
+threshold by ITP steps on its half trace, which take at most two evaluations
+more than bisection.  The row kernel
 does the common cells with the same arithmetic (numpy for the correctly
 rounded operations, math for every transcendental, element by element) and
 hands every other to the scalar one, so a grid cell and a classify call on
@@ -252,13 +254,21 @@ def sweep_grid(mu, J, gamma_range, omega_range, workers=None) -> PhaseGrid:
 
 
 def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
-    """Bisect the breaking threshold in gamma0 at fixed mu and omega.
+    """Find the breaking threshold in gamma0 at fixed mu and omega by ITP
+    steps (Oliveira and Takahashi, ACM TOMS 47(1), 2020).
 
     gamma_hint = (lo, hi) must straddle the transition monotonically:
     lo classifies away from Broken and hi classifies Broken, as classify
     decides.  Returns the bracket midpoint once its width is <= tol, or
     once lo and hi are adjacent floats, so a tol below their spacing still
     ends the search.
+
+    Each step interpolates |h| - 1 - DEFAULT_TOL between the bracket ends
+    (regula falsi), truncates toward the midpoint and projects into
+    bisection's minmax radius, with k1 = 0.2 / (hi - lo), k2 = 2 and n0 = 1;
+    the phase code alone decides which end moves.  So a scan takes at most
+    two evaluations more than bisection, and fewer where the half trace is
+    smooth across the bracket.
     """
     lo, hi = gamma_hint
     if not (0.0 <= lo < hi):
@@ -268,21 +278,42 @@ def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
     check_drive(hi, mu, omega, J)
     if not tol > 0:
         raise ValueError(f"scan tolerance must be positive, got {tol}")
-    if _is_broken(J, lo, mu, omega):
+    h, _, code = _evaluate(J, lo, mu, omega)
+    if code == BROKEN_CODE:
         raise BracketError(f"lower bracket gamma0={lo} already classifies Broken")
-    if not _is_broken(J, hi, mu, omega):
+    y_lo = abs(h) - 1.0 - DEFAULT_TOL
+    h, _, code = _evaluate(J, hi, mu, omega)
+    if code != BROKEN_CODE:
         raise BracketError(f"upper bracket gamma0={hi} does not classify Broken")
+    y_hi = abs(h) - 1.0 - DEFAULT_TOL
+    k1 = 0.2 / (hi - lo)
+    # eps 2^(n_max - j) with eps = tol / 2, the width bisection's worst case
+    # allows after step j; from logarithms, as (hi - lo) / tol overflows for a
+    # subnormal tol.  It starts below 2 (hi - lo), which is finite: _evaluate
+    # raises at any hi whose square overflows
+    radius = math.ldexp(tol, math.ceil(max(0.0, math.log2(hi - lo) - math.log2(tol))))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _is_broken(J, mid, mu, omega):
-            hi = mid
+        gamma0 = mid
+        if math.isfinite(y_hi - y_lo):
+            # y_lo <= 0 < y_hi, as the phase codes say, so falsi lies in [lo, hi]
+            falsi = lo + (hi - lo) * (y_lo / (y_lo - y_hi))
+            toward = math.copysign(1.0, mid - falsi)
+            delta = k1 * (hi - lo) ** 2
+            if delta <= abs(mid - falsi):
+                gamma0 = falsi + toward * delta
+            r = max(0.0, radius - 0.5 * (hi - lo))
+            if abs(gamma0 - mid) > r:
+                gamma0 = mid - toward * r
+            if not lo < gamma0 < hi:
+                gamma0 = mid
+        h, _, code = _evaluate(J, gamma0, mu, omega)
+        y = abs(h) - 1.0 - DEFAULT_TOL
+        if code == BROKEN_CODE:
+            hi, y_hi = gamma0, y
         else:
-            lo = mid
+            lo, y_lo = gamma0, y
+        radius *= 0.5
     return 0.5 * (lo + hi)
-
-
-def _is_broken(J, gamma0, mu, omega):
-    _, _, code = _evaluate(J, gamma0, mu, omega)
-    return code == BROKEN_CODE

@@ -668,8 +668,8 @@ def test_boundary_rejects_bad_indices(capsys):
         assert "Traceback" not in err
     # a curve point beyond double range is refused, naming its gamma0
     for argv, needle in [
-        (["--kind", "unbroken-ellipse", "--n", "3", "--samples", "2", "--J", "1e300"],
-         "gamma0=0.0"),
+        (["--kind", "mu0-sliver", "--n", "1", "--samples", "2", "--J", "1e308",
+          "--gamma-max", "1.5e308"], "gamma0=1.25e+308"),
         (["--kind", "asymptotic", "--samples", "2",
           "--gamma-max", "1.7976931348623157e308", "--J", "2e-5"], "gamma0="),
     ]:
@@ -686,6 +686,43 @@ def test_boundary_rejects_bad_indices(capsys):
         assert code == 2 and out == "", extra
         assert "--gamma-min" in err and "\n" not in err.strip()
         assert "Traceback" not in err
+
+
+def test_boundary_extreme_J_stays_exact(capsys):
+    """Curves at a J whose square or whose ratio to gamma0 leaves double range
+    print the exact omega within 4 ulp, or exit 2 with one line; never 0.0."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def ellipse(scale):
+        return lambda g, J: mpmath.sqrt(J * J - g * g) / scale
+
+    def asymptotic(g, J):
+        return mpmath.pi * g / mpmath.asinh(g / J)
+
+    with mpmath.workdps(30):
+        for argv, exact in [
+            (["--kind", "asymptotic", "--J", "1e-300", "--gamma-max", "1e10"], asymptotic),
+            (["--kind", "unbroken-ellipse", "--n", "1", "--J", "1e-200"], ellipse(1)),
+            (["--kind", "broken-ellipse", "--n", "2", "--J", "1e160"], ellipse(2.5)),
+            (["--kind", "unbroken-ellipse", "--n", "3", "--J", "1e300"], ellipse(3)),
+        ]:
+            code, out, err = run_cli(capsys, "boundary", *argv, "--samples", "2")
+            if code == 2:
+                assert out == "" and "\n" not in err.strip(), argv
+                continue
+            assert code == 0 and err == "", argv
+            J = mpmath.mpf(argv[argv.index("--J") + 1])
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert len(rows) == 2, argv
+            for gamma_s, omega_s in rows:
+                omega = float(omega_s)
+                want = float(exact(mpmath.mpf(float(gamma_s)), J))
+                assert omega != 0.0, argv
+                assert abs(omega - want) <= 4 * math.ulp(want), (argv, omega, want)
+    code, out, err = run_cli(
+        capsys, "boundary", "--kind", "asymptotic", "--gamma-max", "inf", "--samples", "2"
+    )
+    assert code == 2 and out == "" and "\n" not in err.strip()
 
 
 def test_csv_floats_round_trip_shortest_repr():

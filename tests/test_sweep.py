@@ -1,5 +1,5 @@
 """Grid sweep engine: determinism, grid-node exactness, structure checks
-and the threshold bisection."""
+and the threshold scan."""
 
 import math
 import os
@@ -354,6 +354,10 @@ def test_threshold_scan_static_case():
     # a tol below the float spacing of the bracket ends at adjacent floats
     gamma_c = threshold_scan(1.0, 1.0, 2.0, (0.5, 1.5), tol=1e-17)
     assert 0.5 < gamma_c < 1.5 and abs(gamma_c - 1.0) <= 1e-6
+    # so does every smaller tol, down to one whose ratio to the width overflows
+    for tol in (1e-17, 1e-300, 1e-310, 5e-324):
+        gamma_c = threshold_scan(1.0, 1.0, 2.0, (0.5, 1.5), tol=tol)
+        assert 0.5 < gamma_c < 1.5 and abs(gamma_c - 1.0) <= 1e-6, tol
 
 
 def test_threshold_scan_high_frequency_cases():
@@ -384,3 +388,68 @@ def test_threshold_scan_rejects_bad_brackets():
     ]:
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             threshold_scan(mu, J, omega, bracket)
+
+
+def _bisect_threshold(mu, omega, lo, hi, tol):
+    """Plain bisection on the phase code, the reference for threshold_scan."""
+    calls = 2
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        calls += 1
+        if floquet._evaluate(1.0, mid, mu, omega)[2] == BROKEN_CODE:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), calls
+
+
+def _scan_brackets():
+    """Static (0.5, 1.5) brackets, fast-drive (0.85, 1.25) x 2J/(1 + mu) ones and
+    the first 0.02-wide step across which the class turns Broken."""
+    rng = np.random.default_rng(2022)
+    brackets = [("static", 1.0, omega, (0.5, 1.5)) for omega in (0.3, 0.5, 2.0, 10.0)]
+    for _ in range(8):
+        mu, omega = rng.uniform(-0.5, 0.95), 10 ** rng.uniform(np.log10(200), np.log10(400))
+        target = 2.0 / (1.0 + mu)
+        brackets.append(("fast", mu, omega, (0.85 * target, 1.25 * target)))
+    while len(brackets) < 28:
+        mu, omega = rng.uniform(-0.95, 0.95), 10 ** rng.uniform(np.log10(0.3), np.log10(6))
+        for k in range(300):
+            lo, hi = 0.02 * k, 0.02 * (k + 1)
+            if floquet._evaluate(1.0, hi, mu, omega)[2] == BROKEN_CODE:
+                brackets.append(("coarse", mu, omega, (lo, hi)))
+                break
+    return brackets
+
+
+def test_threshold_scan_needs_few_evaluations(monkeypatch):
+    """ITP steps take at most two evaluations more than bisection, and at most
+    10 on a smooth bracket, where bisection takes 17-23 at this tol; they end
+    where bisection does, next to calls classified on each side."""
+    tol = 1e-6
+    calls = []
+
+    def counted(J, gamma0, mu, omega):
+        result = floquet._evaluate(J, gamma0, mu, omega)
+        calls.append((gamma0, result[2]))
+        return result
+
+    monkeypatch.setattr(sweep, "_evaluate", counted)
+    for kind, mu, omega, (lo, hi) in _scan_brackets():
+        calls.clear()
+        found = threshold_scan(mu, 1.0, omega, (lo, hi), tol=tol)
+        reference, bisections = _bisect_threshold(mu, omega, lo, hi, tol)
+        where = (kind, mu, omega, lo, hi)
+        assert bisections == 2 + math.ceil(math.log2((hi - lo) / tol)), where
+        assert len(calls) <= bisections + 2, (where, len(calls))
+        if kind != "static":
+            assert len(calls) <= 10, (where, len(calls))
+        assert abs(found - reference) <= tol, where
+        assert any(
+            found - tol / 2 <= g <= found and code != BROKEN_CODE for g, code in calls
+        ), where
+        assert any(
+            found <= g <= found + tol / 2 and code == BROKEN_CODE for g, code in calls
+        ), where
