@@ -164,11 +164,17 @@ def mu_minus1_unbroken(spec: DrivingSpec) -> bool:
 def asymptotic_boundary(gamma, J=1.0) -> float:
     """Large-(gamma, omega) phase boundary omega = pi gamma / asinh(gamma/J)
     of the gain/loss-reversing drive; valid for gamma > J.  Where gamma / J
-    overflows, asinh(gamma / J) = log(2 gamma / J) to double precision."""
+    overflows, asinh(gamma / J) = log(2 gamma / J) to double precision;
+    where pi gamma overflows, gamma is divided first."""
     ratio = gamma / J
     if ratio < math.inf:
-        return math.pi * gamma / math.asinh(ratio)
-    return math.pi * gamma / (math.log(2.0) + math.log(gamma) - math.log(J))
+        asinh = math.asinh(ratio)
+    else:
+        asinh = math.log(2.0) + math.log(gamma) - math.log(J)
+    scaled = math.pi * gamma
+    if scaled < math.inf:
+        return scaled / asinh
+    return math.pi * (gamma / asinh)
 
 
 def asymptotic_boundary_log(gamma, J=1.0) -> float:

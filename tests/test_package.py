@@ -1,5 +1,6 @@
-"""The package's import surface: classify and boundary run without numpy,
-and every public name resolves, the numpy-backed ones on first use."""
+"""The package's import surface: classify and boundary run without numpy
+(and extended precision without decimal), and every public name resolves,
+the numpy-backed ones on first use."""
 
 import json
 import os
@@ -38,7 +39,12 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     results.append([code, out.getvalue()])
 loaded = [m for m, v in sys.modules.items() if m.split(".")[0] == "numpy" and v]
-print(json.dumps([results, loaded]))
+# a sliver centre, whose verdict the extended-precision half trace settles
+from ptfloquet import DrivingSpec, classify, mu0_sliver, precise
+calls, half_trace = [], precise.half_trace
+precise.half_trace = lambda *args: calls.append(args) or half_trace(*args)
+classify(DrivingSpec(5.0, 0.0, mu0_sliver(5, 5.0)))
+print(json.dumps([results, loaded, len(calls), "decimal" in sys.modules]))
 """
 
 
@@ -49,8 +55,9 @@ def test_classify_and_boundary_run_without_numpy(capsys):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    results, loaded = json.loads(proc.stdout)
+    results, loaded, precise_calls, decimal_loaded = json.loads(proc.stdout)
     assert loaded == []
+    assert precise_calls == 1 and not decimal_loaded
     for argv, (code, out) in zip(NUMPY_FREE_CALLS, results):
         assert code == 0, argv
         assert cli.main(argv) == 0

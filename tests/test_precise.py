@@ -1,13 +1,14 @@
 """Extended-precision half trace: exact boundary points, agreement with the
 closed-form trace identity, a digit budget that more guard digits do not
-change and, where mpmath is installed, exact rounding."""
+change, results that do not depend on the scale of J and, where mpmath is
+installed, exact rounding."""
 
 import numpy as np
 import pytest
 
 from conftest import random_specs
 
-from ptfloquet import DrivingSpec, cos_2eps_tau, mu0_sliver
+from ptfloquet import DrivingSpec, classify, cos_2eps_tau, mu0_sliver
 from ptfloquet.floquet import trace_noise
 from ptfloquet.precise import _GUARD_DIGITS, half_trace
 
@@ -96,3 +97,36 @@ def test_more_guard_digits_change_no_result(monkeypatch):
     values = [precise(spec) for spec in specs]
     monkeypatch.setattr("ptfloquet.precise._GUARD_DIGITS", _GUARD_DIGITS + 30)
     assert [precise(spec) for spec in specs] == values
+
+
+def test_half_trace_is_scale_free():
+    # scaling J, gamma0 and omega by a power of two leaves every ratio, and
+    # so the exact half trace, unchanged; arithmetic in absolute units would
+    # lose the rates at s = 2^-600 and run out of bits at s = 2^600
+    specs = [
+        DrivingSpec(gamma0, 0.0, mu0_sliver(n, gamma0))
+        for n in (1, 5)
+        for gamma0 in (1.5, 10.0)
+    ] + [
+        DrivingSpec(1.0 + 2.0**-40, -0.5, 0.8),  # near the exceptional point
+        DrivingSpec(0.5, 0.3, 1e-3),  # both half steps trig, omega low
+    ]
+    for spec in specs:
+        amp = trace_noise(spec.J, spec.gamma0, spec.mu, spec.omega) / U
+        want = half_trace(spec.J, spec.gamma0, spec.mu, spec.omega, amp)
+        for s in (2.0**-600, 2.0**600):
+            got = half_trace(spec.J * s, spec.gamma0 * s, spec.mu, spec.omega * s, amp)
+            assert got.hex() == want.hex(), (spec, s)
+
+
+def test_static_drive_at_the_exceptional_point_has_half_trace_one(monkeypatch):
+    # at gamma0 = J, mu = 1 the generator is nilpotent and h = 1 for every
+    # omega; the double-precision h is noise here, so precise must settle it
+    calls = []
+    monkeypatch.setattr(
+        "ptfloquet.precise.half_trace",
+        lambda *args: calls.append(args) or half_trace(*args),
+    )
+    for omega in (1e-3, 1e-50):
+        assert classify(DrivingSpec(1.0, 1.0, omega)).half_trace == 1.0
+    assert len(calls) == 2
