@@ -4,11 +4,12 @@ A grid is evaluated one gamma0 row at a time by the row kernel _evaluate_row,
 in forked workers (iter_rows); threshold scans, like classify, evaluate one
 drive at a time with the scalar kernel floquet._evaluate, and find the
 threshold by ITP steps on its half trace, which take at most two evaluations
-more than bisection.  The row kernel
-does the common cells with the same arithmetic (numpy for the correctly
-rounded operations, math for every transcendental, element by element) and
-hands every other to the scalar one, so a grid cell and a classify call on
-the same drive agree bit for bit (test_sweep_matches_pointwise_classify).
+more than bisection.  The row kernel evaluates the scalar one's half-trace
+formula in the same operation order (numpy for the correctly rounded
+operations, math for every transcendental, element by element) and hands it
+only the cells whose half trace is NaN or within its noise bound of +-1, so
+a grid cell and a classify call on the same drive agree bit for bit
+(test_sweep_matches_pointwise_classify).
 """
 
 import math
@@ -36,19 +37,19 @@ def _math_map(fn, x):
 
 
 def _half_step_row(J, gamma, tau):
-    """floquet._half_step over an array of tau, direct form only: NaN where
-    x = k tau lies below SERIES_CUTOFF, as the series form is _evaluate's."""
+    """floquet._half_step over an array of tau, its series branch included:
+    numpy's + - * / round correctly, so each cell has _half_step's bits."""
     rr = J * J - gamma * gamma
     k = math.sqrt(abs(rr))
     x = k * tau
     if rr >= 0.0:
-        cos, sin = math.cos, math.sin
+        cos, sin, x2 = math.cos, math.sin, -x * x
     else:
-        cos, sin = math.cosh, math.sinh
-    s = _math_map(sin, x) / k
-    s[x < SERIES_CUTOFF] = math.nan
-    c = _math_map(cos, x)
-    return c + gamma * s, J * s, c - gamma * s
+        cos, sin, x2 = math.cosh, math.sinh, x * x
+    s, series = _math_map(sin, x) / k, x < SERIES_CUTOFF
+    if series.any():
+        s = np.where(series, tau * (1.0 + x2 / 6.0 + x2 * x2 / 120.0), s)
+    return _math_map(cos, x), s
 
 
 def _trace_noise_row(J, gamma0, mu, tau):
@@ -70,16 +71,16 @@ def _trace_noise_row(J, gamma0, mu, tau):
 
 def _evaluate_row(J, gamma0, mu, omega_axis):
     """_evaluate for one gamma0 over a float64 array of omega, as arrays
-    (half_trace, c, code).  The row settles the common cells and overwrites
-    every other with _evaluate's result, so each cell is bit-identical to
-    _evaluate's: a series half step, a half trace NaN or within the row's
-    noise bound of +-1, and each cell of a row whose half step overflows."""
+    (half_trace, c, code), by its formula in its operation order.  The row
+    overwrites two kinds of cell with _evaluate's result, so each cell is
+    bit-identical to _evaluate's: a NaN half trace, as in every cell of a row
+    whose half step overflows, and one within the row's noise bound of +-1."""
     tau = math.pi / omega_axis
     with np.errstate(all="ignore"):  # overflow to inf is expected, as in floats
         try:
-            a00, a01, a11 = _half_step_row(J, gamma0, tau)
-            b00, b01, b11 = _half_step_row(J, mu * gamma0, tau)
-            half_trace = 0.5 * ((b00 * a00 - b01 * a01) + (b11 * a11 - b01 * a01))
+            c1, s1 = _half_step_row(J, gamma0, tau)
+            c2, s2 = _half_step_row(J, mu * gamma0, tau)
+            half_trace = c1 * c2 - (J * J - mu * gamma0 * gamma0) * (s1 * s2)
         except OverflowError:  # from math.sinh or math.cosh
             half_trace = np.full_like(tau, math.nan)
         noise = _trace_noise_row(J, gamma0, mu, tau)

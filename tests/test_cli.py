@@ -39,14 +39,18 @@ def _reject_constant(name):
 
 def test_classify_json_document(capsys):
     # the key list is fixed; a float beyond double range is written as null
-    # (the two saturated drives have c = 1 - ulp; at the first h overflows,
-    # at the second only h*h does, and g+- = 2h, 1/(2h) stay finite)
+    # (the three saturated drives have c = 1 - ulp; at (10, -1) and (4, 1)
+    # h overflows, at (4, -1) only h*h does, and g+- = 2h, 1/(2h) stay finite)
     for gamma0, mu, omega, nulls in [
         ("0.5", "1", "3", []),
         ("10", "-1", "0.05", ["eps_f_im", "trace_half", "g_plus_abs"]),
         ("4", "-1", "0.035", []),
         # Re eps_f folds by the given omega, not by pi / tau, which overflows
         ("0.1", "0", "1.7976931348623157e308", []),
+        # the static drive at the exceptional point has h = 1 at every omega
+        ("1", "1", "1e-200", []),
+        # both terms of h overflow, yet h = +inf is a verdict
+        ("4", "1", "0.03", ["eps_f_im", "trace_half", "g_plus_abs"]),
     ]:
         code, out, err = run_cli(
             capsys, "classify", "--gamma0", gamma0, "--mu", mu, "--omega", omega
@@ -67,16 +71,16 @@ def test_classify_json_document(capsys):
             "g_plus_abs",
             "g_minus_abs",
         ]
-        if gamma0 in ("0.5", "0.1"):
+        if gamma0 in ("0.5", "0.1", "1"):
             assert doc["phase"] == "Unbroken"
             assert doc["c"] <= 1e-12
         else:
             assert doc["phase"] == "Broken" and doc["c"] == math.nextafter(1.0, 0.0)
-        if gamma0 == "0.1":
+        if gamma0 in ("0.1", "1"):
             assert doc["trace_half"] == 1.0 and doc["eps_f_re"] == 0.0
-        if gamma0 == "10":
+        if nulls:
             assert doc["g_minus_abs"] == 0.0
-        if gamma0 == "4":
+        if (gamma0, mu) == ("4", "-1"):
             assert doc["trace_half"] == pytest.approx(-3.003022173458965e300)
             assert doc["g_plus_abs"] == -2.0 * doc["trace_half"]
             assert doc["g_minus_abs"] == -0.5 / doc["trace_half"]
@@ -175,9 +179,12 @@ def test_sweep_csv_format_and_round_trip(tmp_path, capsys):
         r = classify(spec)
         assert r.phase.value == phase_s
         assert r.c == float(c_s)
+        assert r.half_trace == float(trace_s)
+        # the monodromy entries give the same half trace within its noise
         m = monodromy(spec)
         half_trace = (m[0, 0] + m[1, 1]).real / 2.0
-        assert half_trace == float(trace_s)
+        noise = floquet.trace_noise(spec.J, spec.gamma0, spec.mu, spec.omega)
+        assert abs(half_trace - float(trace_s)) <= noise
 
 
 def test_sweep_rejects_degenerate_grid_and_overwrite(tmp_path, capsys):

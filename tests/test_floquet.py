@@ -375,7 +375,7 @@ def test_classification_agrees_between_active_and_passive():
 
 def test_sliver_verdict_rests_on_the_exact_trace():
     # (n=5, gamma0=5): the double-precision half trace carries cancellation
-    # noise of about exp(q tau) u ~ 4 and reads +3.6 (Broken), while the
+    # noise of about exp(q tau) u ~ 4 and reads +3.75 (Broken), while the
     # exact value at this float omega is -0.8453... (80-digit reference)
     omega = mu0_sliver(5, 5.0)
     result = classify(DrivingSpec(5.0, 0.0, omega))
@@ -412,3 +412,15 @@ def test_trace_noise_bounds_the_double_precision_error():
         exact = precise_half_trace(1.0, gamma0, mu, omega, noise / u)
         assert abs(double - exact) <= noise, (gamma0, mu, omega)
         checked += 1
+
+
+def test_kernel_half_trace_matches_the_monodromy_entries():
+    # the kernel reads h from the half steps' (c, s) pairs; the entries
+    # route, which monodromy() takes, must agree within the noise bound,
+    # so it stays a check on the kernel
+    rng = np.random.default_rng(39)
+    for spec in random_specs(rng, 400, omega_lo=1e-2, max_growth=600.0, near_ep=200):
+        J, gamma0, mu, omega = spec.J, spec.gamma0, spec.mu, spec.omega
+        m00, _, _, m11 = floquet._monodromy_entries(J, gamma0, mu, omega)
+        noise = trace_noise(J, gamma0, mu, omega)
+        assert abs(classify(spec).half_trace - 0.5 * (m00 + m11)) <= noise, spec
