@@ -12,6 +12,7 @@ a grid cell and a classify call on the same drive agree bit for bit
 (test_sweep_matches_pointwise_classify).
 """
 
+import contextlib
 import math
 import os
 import pickle
@@ -195,7 +196,7 @@ def _forked_rows(make, gammas):
             with os.fdopen(write_fd, "wb") as out:  # the parent's copy closes here
                 pid = os.fork()
                 if pid == 0:
-                    _work(out, readers, make, gammas[k::workers])
+                    _work(out, readers, make, gammas[k::workers], k)
             pids.append(pid)
         for i, gamma0 in enumerate(gammas):
             try:
@@ -219,15 +220,20 @@ def _forked_rows(make, gammas):
             os.waitpid(pid, 0)
 
 
-def _work(out, readers, make, gammas):
-    """A forked worker: send make(gamma0) for each of gammas down out, or the
-    exception that stops it, each pickled whole before it is written, so that
-    only this process's death can cut a message short.  It ends only through
-    os._exit, so that none of the parent's code runs here: no buffered file
-    is flushed, no atexit handler runs and no caller's finally clause runs."""
+def _work(out, readers, make, gammas, k):
+    """Forked worker k, on the k-th CPU it may use: send make(gamma0) for each
+    of gammas down out, or the exception that stops it, each pickled whole
+    before it is written, so that only this process's death can cut a message
+    short.  It ends only through os._exit, so that none of the parent's code
+    runs here: no buffered file is flushed, no atexit handler runs and no
+    caller's finally clause runs."""
     try:
         for reader in readers:  # the parent's read ends, this worker's among them
             reader.close()
+        # pinned, as the scheduler at times stacked all workers on one CPU
+        with contextlib.suppress(AttributeError, OSError):  # else unpinned
+            cpus = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, (cpus[k % len(cpus)],))
         for gamma0 in gammas:
             try:
                 message = make(gamma0)

@@ -93,6 +93,11 @@ def _maker_pid(gamma0, half_trace, c, code):
     return os.getpid()
 
 
+def _maker_cpus(gamma0, half_trace, c, code):
+    """A per_row: the CPUs the process that made the row may run on."""
+    return sorted(os.sched_getaffinity(0))
+
+
 def _dies_at_gamma0_1(gamma0, half_trace, c, code):
     """A per_row whose process ends, sending nothing, at gamma0 = 1."""
     if gamma0 == 1.0:
@@ -152,6 +157,29 @@ def test_rows_are_made_in_forked_workers_in_turn(monkeypatch):
         next(rows)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_each_worker_runs_on_its_own_cpu(monkeypatch):
+    # worker k is pinned to the k-th CPU this process may use, cycling when
+    # there are more workers than CPUs; this process itself stays unpinned
+    cpus = sorted(os.sched_getaffinity(0))
+    ranges = (0.0, 2.0, 7), (0.2, 3.0, 5)
+    for workers in (2, 3):
+        monkeypatch.setattr(sweep, "resolve_workers", lambda: workers)
+        rows = list(iter_rows(0.5, 1.0, *ranges, per_row=_maker_cpus)[2])
+        assert rows == [[cpus[i % workers % len(cpus)]] for i in range(7)]
+        assert sorted(os.sched_getaffinity(0)) == cpus
+    # where a worker cannot be pinned it makes its rows unpinned
+    monkeypatch.setattr(sweep, "resolve_workers", lambda: 2)
+    with monkeypatch.context() as m:
+        m.delattr(os, "sched_setaffinity")
+        assert list(iter_rows(0.5, 1.0, *ranges, per_row=_maker_cpus)[2]) == [cpus] * 7
+
+    def refused(pid, mask):
+        raise OSError("CPU not allowed")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    assert list(iter_rows(0.5, 1.0, *ranges, per_row=_maker_cpus)[2]) == [cpus] * 7
 
 
 def test_closing_rows_ends_workers_another_sweep_has_inherited(monkeypatch):
