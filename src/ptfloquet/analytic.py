@@ -45,9 +45,11 @@ class BoundaryCurve:
     points: tuple
 
 
-def _rate(J, gamma):
-    """Principal complex sqrt(J^2 - gamma^2)."""
-    return cmath.sqrt(complex(J * J - gamma * gamma))
+def _half_step(J, gamma, tau):
+    """A half step's complex pair (cos(r tau), sin(r tau)/r) at the principal
+    r = sqrt(J^2 - gamma^2)."""
+    r = cmath.sqrt(complex(J * J - gamma * gamma))
+    return cmath.cos(r * tau), sin_over_r(r, tau)
 
 
 def _real_part(value, where):
@@ -66,10 +68,8 @@ def cos_2eps_tau(spec: DrivingSpec) -> float:
     Real for every drive; values outside [-1, 1] mean broken PT symmetry.
     """
     tau = spec.tau
-    r1 = _rate(spec.J, spec.gamma0)
-    r2 = _rate(spec.J, spec.mu * spec.gamma0)
-    c1, s1 = cmath.cos(r1 * tau), sin_over_r(r1, tau)
-    c2, s2 = cmath.cos(r2 * tau), sin_over_r(r2, tau)
+    c1, s1 = _half_step(spec.J, spec.gamma0, tau)
+    c2, s2 = _half_step(spec.J, spec.mu * spec.gamma0, tau)
     coeff = spec.J * spec.J - spec.mu * spec.gamma0 * spec.gamma0
     return _real_part(c2 * c1 - coeff * s2 * s1, "cos_2eps_tau")
 
@@ -78,10 +78,8 @@ def cos_2eps_tau_mu0(gamma0, omega, J=1.0) -> float:
     """Half-Hermitian specialization (mu = 0, so r2 = J):
     cos(r1 tau) cos(J tau) - (J/r1) sin(r1 tau) sin(J tau)."""
     tau = math.pi / omega
-    r1 = _rate(J, gamma0)
-    value = cmath.cos(r1 * tau) * math.cos(J * tau) - J * sin_over_r(
-        r1, tau
-    ) * math.sin(J * tau)
+    c1, s1 = _half_step(J, gamma0, tau)
+    value = c1 * math.cos(J * tau) - J * s1 * math.sin(J * tau)
     return _real_part(value, "cos_2eps_tau_mu0")
 
 
@@ -93,10 +91,8 @@ def field_components(spec: DrivingSpec) -> FieldComponents:
     """
     tau = spec.tau
     J, g0, mu = spec.J, spec.gamma0, spec.mu
-    r1 = _rate(J, g0)
-    r2 = _rate(J, mu * g0)
-    c1, s1 = cmath.cos(r1 * tau), sin_over_r(r1, tau)
-    c2, s2 = cmath.cos(r2 * tau), sin_over_r(r2, tau)
+    c1, s1 = _half_step(J, g0, tau)
+    c2, s2 = _half_step(J, mu * g0, tau)
     ax = _real_part(J * (c2 * s1 + s2 * c1), "field ax")
     ay = _real_part((mu - 1.0) * J * g0 * s1 * s2, "field ay")
     az = _real_part(g0 * (c2 * s1 + mu * s2 * c1), "field az")
@@ -157,8 +153,7 @@ def mu_minus1_unbroken(spec: DrivingSpec) -> bool:
     """
     if spec.mu != -1.0:
         raise ValueError(f"criterion applies only to mu = -1, got mu = {spec.mu}")
-    r1 = _rate(spec.J, spec.gamma0)
-    return abs(sin_over_r(r1, spec.tau)) <= 1.0 / spec.J
+    return abs(_half_step(spec.J, spec.gamma0, spec.tau)[1]) <= 1.0 / spec.J
 
 
 def asymptotic_boundary(gamma, J=1.0) -> float:

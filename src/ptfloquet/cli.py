@@ -293,9 +293,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_negative_values(argv):
+    """argv with each negative number that follows a long option joined to it,
+    as in --mu=-1e-3: argparse takes only the forms -1 and -.5 for a negative
+    number, and reads -1e-3 or -inf as an unknown option."""
+    joined = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        bare = option.startswith("--") and option != "--" and "=" not in option
+        if bare and token.startswith("-"):
+            with contextlib.suppress(ValueError):  # not a number: left alone
+                float(token)
+                joined[-1] = f"{option}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _joined_negative_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.handler(args)
     except ConsistencyError as exc:

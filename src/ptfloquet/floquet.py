@@ -194,12 +194,13 @@ def _evaluate(J, gamma0, mu, omega):
     exact, and scaled back.  c follows from h alone, as the determinant is
     structurally 1.  An h within trace_noise of +-1 is re-evaluated in
     extended precision, unless that bound overflows even in units of u.  A
-    half step whose cosh or sinh overflows, or an h still NaN, raises ValueError.
+    half step whose cosh or sinh overflows or whose phase r tau is infinite,
+    or an h still NaN, raises ValueError.
     """
     tau = math.pi / omega
     try:
         (c1, s1), (c2, s2) = _half_step(J, gamma0, tau), _half_step(J, mu * gamma0, tau)
-    except OverflowError:  # from math.sinh or math.cosh
+    except (OverflowError, ValueError):  # cosh or sinh overflows, or r tau is inf
         c1 = s1 = c2 = s2 = math.nan
     k = J * J - mu * gamma0 * gamma0
     half_trace = c1 * c2 - k * (s1 * s2)

@@ -82,7 +82,7 @@ def _evaluate_row(J, gamma0, mu, omega_axis):
             c1, s1 = _half_step_row(J, gamma0, tau)
             c2, s2 = _half_step_row(J, mu * gamma0, tau)
             half_trace = c1 * c2 - (J * J - mu * gamma0 * gamma0) * (s1 * s2)
-        except OverflowError:  # from math.sinh or math.cosh
+        except (OverflowError, ValueError):  # as in _evaluate
             half_trace = np.full_like(tau, math.nan)
         noise = _trace_noise_row(J, gamma0, mu, tau)
         hard = ~(np.abs(np.abs(half_trace) - 1.0) > noise)  # NaN is hard too
@@ -126,9 +126,23 @@ def grid_axis(lo, hi, count) -> np.ndarray:
 
     Each node comes from its own float index (no running sums, no integer
     wraparound), so refined grids share bit patterns with coarse ones on the
-    common nodes.  One allocation: a count that cannot be held fails at once.
+    common nodes.  Where k*(hi - lo) overflows, hi - lo and count - 1 are
+    both scaled by 2^-e, with 2^e > count - 1, which is exact in the normal
+    range and so rounds to the node the unbounded form would.  One
+    allocation: a count that cannot be held fails at once.  A node beyond
+    double range raises ValueError.
     """
-    return lo + np.arange(count, dtype=float) * (hi - lo) / (count - 1)
+    nodes = np.arange(count, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        nodes *= hi - lo
+        nodes /= count - 1
+        over = np.flatnonzero(np.isinf(nodes))
+        e = math.frexp(count - 1)[1]
+        nodes[over] = over * math.ldexp(hi - lo, -e) / math.ldexp(count - 1, -e)
+        nodes += lo
+    if not np.isfinite(nodes).all():
+        raise ValueError(f"a grid node between {lo!r} and {hi!r} leaves double range")
+    return nodes
 
 
 def resolve_workers() -> int:

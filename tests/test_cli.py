@@ -155,6 +155,64 @@ def test_classify_invalid_parameters_exit_2(capsys):
     assert "\n" not in err.strip() and "Traceback" not in err
 
 
+def test_infinite_half_step_phase_names_the_drive(tmp_path, capsys):
+    # r tau is inf, where math.cos raises "math domain error"; both kernel
+    # forms refuse it as a half step that leaves double range
+    drive = "gamma0=0.0, mu=0.0, omega=1e-300, J=10000000000.0"
+    out_file = tmp_path / "grid.csv"
+    for argv in [
+        ["classify", "--gamma0", "0", "--mu", "0", "--omega", "1e-300", "--J", "1e10"],
+        ["sweep", "--mu", "0", "--J", "1e10", "--gamma-min", "0", "--gamma-max", "1",
+         "--omega-min", "1e-300", "--omega-max", "1e-299", "--gamma-steps", "2",
+         "--omega-steps", "2", "--out", str(out_file), "--force"],
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and drive in err, argv
+        assert "\n" not in err.strip() and "Traceback" not in err
+        assert not out_file.exists()
+
+
+def test_sweep_axis_up_to_the_largest_double(tmp_path, capsys):
+    # k (hi - lo) overflows at the last nodes of each axis, though hi is finite
+    out_file = tmp_path / "grid.csv"
+    top = repr(sys.float_info.max)
+    for axes in [
+        ["--gamma-max", "3", "--omega-min", "2", "--omega-max", top],
+        ["--gamma-max", top, "--omega-min", "2", "--omega-max", "3"],
+    ]:
+        code, out, err = run_cli(
+            capsys, "sweep", "--mu", "0", "--gamma-min", "0", *axes,
+            "--gamma-steps", "3", "--omega-steps", "3", "--out", str(out_file),
+            "--force",
+        )
+        assert code in (0, 2) and out == "", axes
+        assert "Traceback" not in err and "Warning" not in err, axes
+        if code == 2:
+            assert err.strip() != "" and "\n" not in err.strip(), axes
+            continue
+        assert err == "", axes
+        rows = out_file.read_text().splitlines()[2:]
+        assert len(rows) == 9
+        assert all(0.0 <= float(row.split(",")[2]) < 1.0 for row in rows), axes
+
+
+def test_negative_value_in_exponent_form_parses(capsys):
+    # argparse alone reads -1e-3 as an option, and --mu would get no value
+    base = ["classify", "--gamma0", "1", "--omega", "1"]
+    outputs = []
+    for mu in (["--mu", "-1e-3"], ["--mu=-1e-3"], ["--mu", "-0.001"]):
+        code, out, err = run_cli(capsys, *base, *mu)
+        assert code == 0 and err == "", mu
+        outputs.append(json.loads(out))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0]["mu"] == -1e-3
+    # a token that is no number is left for argparse, which refuses it
+    with pytest.raises(SystemExit) as refused:
+        main([*base, "--mu", "-x"])
+    assert refused.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_sweep_csv_format_and_round_trip(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
     code, _, err = run_cli(

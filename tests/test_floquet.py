@@ -388,9 +388,12 @@ def test_sliver_verdict_rests_on_the_exact_trace():
     assert grid.trace_half[0, 0] == result.half_trace
 
 
-def test_trace_noise_bounds_the_double_precision_error():
+def test_trace_noise_bounds_the_double_precision_error(monkeypatch):
     # near exceptional points and at small omega the error of the double
-    # half trace grows far beyond exp(G) u; trace_noise must still bound it
+    # half trace grows far beyond exp(G) u; trace_noise must still bound it,
+    # both for the kernel's own h, taken with no hand-over to precise, and
+    # for the monodromy entries' half trace
+    monkeypatch.setattr(floquet, "trace_noise", lambda *drive: math.inf)
     rng = np.random.default_rng(38)
     u = 2.0**-53
     checked = 0
@@ -408,9 +411,11 @@ def test_trace_noise_bounds_the_double_precision_error():
         if noise > 1e200:
             continue
         m = monodromy(DrivingSpec(gamma0, mu, omega))
-        double = (m[0, 0] + m[1, 1]).real / 2.0
+        entries = (m[0, 0] + m[1, 1]).real / 2.0
+        kernel = floquet._evaluate(1.0, gamma0, mu, omega)[0]
         exact = precise_half_trace(1.0, gamma0, mu, omega, noise / u)
-        assert abs(double - exact) <= noise, (gamma0, mu, omega)
+        assert abs(kernel - exact) <= noise, (gamma0, mu, omega)
+        assert abs(entries - exact) <= noise, (gamma0, mu, omega)
         checked += 1
 
 

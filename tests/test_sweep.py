@@ -4,6 +4,7 @@ and the threshold scan."""
 import math
 import os
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,23 @@ def test_grid_axis_integer_bounds_match_float_bounds():
         axis = grid_axis(0, hi, 401)
         np.testing.assert_array_equal(axis, grid_axis(0.0, float(hi), 401))
         assert axis.dtype == np.float64 and axis[-1] == hi
+
+
+def test_grid_axis_stays_in_range_where_k_times_the_span_overflows():
+    # k * (hi - lo) overflows at the last nodes of these finite ranges; the
+    # nodes stay those of the unscaled form wherever it is finite
+    top = sys.float_info.max
+    cases = [(2.0, top, 3), (0.0, top, 3), (0.0, top, 400), (1e300, top, 7)]
+    for lo, hi, count in cases:
+        with np.errstate(over="ignore"):
+            unscaled = lo + np.arange(count, dtype=float) * (hi - lo) / (count - 1)
+        axis = grid_axis(lo, hi, count)
+        assert np.isfinite(axis).all() and axis[0] == lo and axis[-1] <= hi
+        finite = np.isfinite(unscaled)
+        assert not finite.all()
+        np.testing.assert_array_equal(axis[finite], unscaled[finite])
+    with pytest.raises(ValueError, match="leaves double range"):
+        grid_axis(-top, top, 3)
 
 
 def test_sweep_validation():
@@ -416,6 +434,9 @@ def test_threshold_scan_rejects_bad_brackets():
     ]:
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             threshold_scan(mu, J, omega, bracket)
+    # a half step whose phase r tau is infinite names the drive
+    with pytest.raises(ValueError, match=r"gamma0=0\.0, mu=0\.0, omega=1e-300"):
+        threshold_scan(0.0, 1e10, 1e-300, (0.0, 1.0))
 
 
 def _bisect_threshold(mu, omega, lo, hi, tol):
