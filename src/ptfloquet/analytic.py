@@ -5,7 +5,8 @@ Everything is expressed through the two half-step rates
 r1 = sqrt(J^2 - gamma0^2) and r2 = sqrt(J^2 - (mu*gamma0)^2).  All formulas
 are even in r1 and r2, so the square-root branch never matters; products
 sin(r tau)/r are evaluated in paired form to stay finite when either rate
-vanishes (gamma0 = J or |mu| gamma0 = J).
+vanishes (gamma0 = J or |mu| gamma0 = J).  A value beyond double range is
++-inf; a half step beyond it raises a ValueError that names the drive.
 """
 
 import cmath
@@ -52,6 +53,31 @@ def _half_step(J, gamma, tau):
     return cmath.cos(r * tau), sin_over_r(r, tau)
 
 
+def _range_error(gamma0, mu, omega, J):
+    return ValueError(
+        f"a half step leaves double range at gamma0={gamma0!r}, "
+        f"mu={mu!r}, omega={omega!r}, J={J!r}"
+    )
+
+
+def _beyond_range(values, drive, values_of, c1, s1, *rest):
+    """values = values_of(c1, s1, *rest), real values each linear in the first
+    half step's pair, with each NaN, as from inf - inf beyond double range,
+    taken once more at c1 and s1 times 2^-e, exact, and scaled back, so that
+    it comes out +-inf.  One still NaN raises the ValueError of drive =
+    (gamma0, mu, omega, J)."""
+    e = math.frexp(max(abs(c1.real), abs(c1.imag), abs(s1.real), abs(s1.imag)))[1]
+    c1, s1 = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (c1, s1))
+    values = [
+        # 2^e in two exact factors, so that an overflow gives +-inf
+        w * 2.0 ** (e // 2) * 2.0 ** (e - e // 2) if math.isnan(v) else v
+        for v, w in zip(values, values_of(c1, s1, *rest))
+    ]
+    if any(map(math.isnan, values)):
+        raise _range_error(*drive)
+    return values
+
+
 def _real_part(value, where):
     re = value.real
     if abs(value.imag) > _IMAG_RESIDUE_BOUND * max(1.0, abs(re)):
@@ -67,20 +93,42 @@ def cos_2eps_tau(spec: DrivingSpec) -> float:
 
     Real for every drive; values outside [-1, 1] mean broken PT symmetry.
     """
-    tau = spec.tau
-    c1, s1 = _half_step(spec.J, spec.gamma0, tau)
-    c2, s2 = _half_step(spec.J, spec.mu * spec.gamma0, tau)
-    coeff = spec.J * spec.J - spec.mu * spec.gamma0 * spec.gamma0
-    return _real_part(c2 * c1 - coeff * s2 * s1, "cos_2eps_tau")
+    tau, J, g0, mu = spec.tau, spec.J, spec.gamma0, spec.mu
+    try:
+        c1, s1 = _half_step(J, g0, tau)
+        c2, s2 = _half_step(J, mu * g0, tau)
+    except (OverflowError, ValueError):  # cosh overflows, or r tau is infinite
+        raise _range_error(g0, mu, spec.omega, J) from None
+    coeff = J * J - mu * g0 * g0
+    values = _trace_identity(c1, s1, c2, s2, coeff)
+    if math.isnan(values[0]):
+        drive = (g0, mu, spec.omega, J)
+        values = _beyond_range(values, drive, _trace_identity, c1, s1, c2, s2, coeff)
+    return values[0]
+
+
+def _trace_identity(c1, s1, c2, s2, coeff):
+    return (_real_part(c2 * c1 - coeff * s2 * s1, "cos_2eps_tau"),)
 
 
 def cos_2eps_tau_mu0(gamma0, omega, J=1.0) -> float:
     """Half-Hermitian specialization (mu = 0, so r2 = J):
     cos(r1 tau) cos(J tau) - (J/r1) sin(r1 tau) sin(J tau)."""
     tau = math.pi / omega
-    c1, s1 = _half_step(J, gamma0, tau)
-    value = c1 * math.cos(J * tau) - J * s1 * math.sin(J * tau)
-    return _real_part(value, "cos_2eps_tau_mu0")
+    try:
+        c1, s1 = _half_step(J, gamma0, tau)
+        c2, s2 = math.cos(J * tau), math.sin(J * tau)
+    except (OverflowError, ValueError):  # as in cos_2eps_tau
+        raise _range_error(gamma0, 0.0, omega, J) from None
+    values = _mu0_identity(c1, s1, c2, s2, J)
+    if math.isnan(values[0]):
+        drive = (gamma0, 0.0, omega, J)
+        values = _beyond_range(values, drive, _mu0_identity, c1, s1, c2, s2, J)
+    return values[0]
+
+
+def _mu0_identity(c1, s1, c2, s2, J):
+    return (_real_part(c1 * c2 - J * s1 * s2, "cos_2eps_tau_mu0"),)
 
 
 def field_components(spec: DrivingSpec) -> FieldComponents:
@@ -89,14 +137,26 @@ def field_components(spec: DrivingSpec) -> FieldComponents:
     ay vanishes for the static drive (mu = 1) and az vanishes for exact
     gain/loss reversal (mu = -1).
     """
-    tau = spec.tau
-    J, g0, mu = spec.J, spec.gamma0, spec.mu
-    c1, s1 = _half_step(J, g0, tau)
-    c2, s2 = _half_step(J, mu * g0, tau)
-    ax = _real_part(J * (c2 * s1 + s2 * c1), "field ax")
-    ay = _real_part((mu - 1.0) * J * g0 * s1 * s2, "field ay")
-    az = _real_part(g0 * (c2 * s1 + mu * s2 * c1), "field az")
+    tau, J, g0, mu = spec.tau, spec.J, spec.gamma0, spec.mu
+    try:
+        c1, s1 = _half_step(J, g0, tau)
+        c2, s2 = _half_step(J, mu * g0, tau)
+    except (OverflowError, ValueError):  # as in cos_2eps_tau
+        raise _range_error(g0, mu, spec.omega, J) from None
+    values = _field(c1, s1, c2, s2, J, g0, mu)
+    if any(map(math.isnan, values)):
+        drive = (g0, mu, spec.omega, J)
+        values = _beyond_range(values, drive, _field, c1, s1, c2, s2, J, g0, mu)
+    ax, ay, az = values
     return FieldComponents(ax=ax, ay=ay, az=az, cos2eps=cos_2eps_tau(spec))
+
+
+def _field(c1, s1, c2, s2, J, g0, mu):
+    return (
+        _real_part(J * (c2 * s1 + s2 * c1), "field ax"),
+        _real_part((mu - 1.0) * J * g0 * s1 * s2, "field ay"),
+        _real_part(g0 * (c2 * s1 + mu * s2 * c1), "field az"),
+    )
 
 
 def high_freq_threshold(mu, J) -> float:
@@ -153,7 +213,11 @@ def mu_minus1_unbroken(spec: DrivingSpec) -> bool:
     """
     if spec.mu != -1.0:
         raise ValueError(f"criterion applies only to mu = -1, got mu = {spec.mu}")
-    return abs(_half_step(spec.J, spec.gamma0, spec.tau)[1]) <= 1.0 / spec.J
+    try:
+        s1 = _half_step(spec.J, spec.gamma0, spec.tau)[1]
+    except (OverflowError, ValueError):  # as in cos_2eps_tau
+        raise _range_error(spec.gamma0, spec.mu, spec.omega, spec.J) from None
+    return abs(s1) <= 1.0 / spec.J
 
 
 def asymptotic_boundary(gamma, J=1.0) -> float:

@@ -184,18 +184,18 @@ def trace_noise(J, gamma0, mu, omega) -> float:
 
 def _evaluate(J, gamma0, mu, omega):
     """Scalar kernel of classify, threshold_scan and every grid cell that
-    sweep._evaluate_row hands over: that row kernel's (h, c, code) per cell,
-    by its arithmetic; the half trace, the amplification rate and the phase code
-    (Unbroken for |h| <= 1, Exceptional up to 1 + DEFAULT_TOL, Broken beyond).
+    sweep._evaluate_row hands over: the half trace h, by that row kernel's
+    arithmetic.  The amplification rate and the phase code are functions of
+    h alone (_amp_rate_from_half_trace, _phase_code), as the determinant is
+    structurally 1, so callers derive them from it.
 
     h = c1 c2 - (J^2 - mu gamma0^2) s1 s2 from the half steps' (c, s): the
     trace identity, free of the entries' cancelling (1 +- J tau)^2.  A NaN h
     (inf - inf or 0 inf) is evaluated once more at c1 and s1 times 2^-e,
-    exact, and scaled back.  c follows from h alone, as the determinant is
-    structurally 1.  An h within trace_noise of +-1 is re-evaluated in
-    extended precision, unless that bound overflows even in units of u.  A
-    half step whose cosh or sinh overflows or whose phase r tau is infinite,
-    or an h still NaN, raises ValueError.
+    exact, and scaled back.  An h within trace_noise of +-1 is re-evaluated
+    in extended precision, unless that bound overflows even in units of u.
+    A half step whose cosh or sinh overflows or whose phase r tau is
+    infinite, or an h still NaN, raises ValueError.
     """
     tau = math.pi / omega
     try:
@@ -218,8 +218,7 @@ def _evaluate(J, gamma0, mu, omega):
     amplification = noise / _UNIT_ROUNDOFF
     if abs(abs(half_trace) - 1.0) <= noise and amplification < math.inf:
         half_trace = precise.half_trace(J, gamma0, mu, omega, amplification)
-    c = _amp_rate_from_half_trace(half_trace)
-    return half_trace, c, _phase_code(half_trace)
+    return half_trace
 
 
 def monodromy(spec: DrivingSpec) -> "np.ndarray":
@@ -291,5 +290,6 @@ def classify(spec: DrivingSpec) -> FloquetResult:
     |h| <= 1 (c == 0), Exceptional in the fixed band 1 < |h| <= 1 +
     DEFAULT_TOL next to the boundary, Broken beyond.
     """
-    half_trace, c, code = _evaluate(spec.J, spec.gamma0, spec.mu, spec.omega)
-    return FloquetResult(spec, half_trace, c, PHASE_BY_CODE[code])
+    h = _evaluate(spec.J, spec.gamma0, spec.mu, spec.omega)
+    phase = PHASE_BY_CODE[_phase_code(h)]
+    return FloquetResult(spec, h, _amp_rate_from_half_trace(h), phase)

@@ -5,6 +5,8 @@ product, giving an independent reference for the production path.  They are
 validation tools only and never feed the sweep engine.
 """
 
+from itertools import repeat
+
 import numpy as np
 
 from .errors import ConsistencyError
@@ -21,8 +23,10 @@ def stepped_propagator(spec: DrivingSpec, steps_per_half: int) -> np.ndarray:
 
     Each sub-step exp(-i dt (-J sx + i gamma sz)) has a real diagonal and an
     imaginary off-diagonal, and so has every product of them; the loop
-    carries the four real numbers of the product [[A, iB], [iC, D]].  The
-    sub-step's structure is checked exactly, not assumed.
+    carries the four real numbers of the product [[A, iB], [iC, D]].  Each
+    sub-step multiplies from the left, so the columns (A, C) and (B, D)
+    never mix and each is stepped as its own pair.  The sub-step's
+    structure is checked exactly, not assumed.
     """
     if steps_per_half < 1:
         raise ValueError(f"steps_per_half must be >= 1, got {steps_per_half}")
@@ -37,8 +41,9 @@ def stepped_propagator(spec: DrivingSpec, steps_per_half: int) -> np.ndarray:
                 f"sub-step of gamma={gamma} is not [[real, imag], [imag, real]]: {step}"
             )
         a, b, c, d = m00.real, m01.imag, m10.imag, m11.real
-        for _ in range(steps_per_half):
-            A, B, C, D = a * A - b * C, a * B + b * D, c * A + d * C, d * D - c * B
+        for _ in repeat(None, steps_per_half):
+            A, C = a * A - b * C, c * A + d * C
+            B, D = a * B + b * D, d * D - c * B
     return np.array([[A + 0j, complex(0.0, B)], [complex(0.0, C), D + 0j]])
 
 

@@ -71,10 +71,11 @@ def _trace_noise_row(J, gamma0, mu, tau):
 
 
 def _evaluate_row(J, gamma0, mu, omega_axis):
-    """_evaluate for one gamma0 over a float64 array of omega, as arrays
-    (half_trace, c, code), by its formula in its operation order.  The row
-    overwrites two kinds of cell with _evaluate's result, so each cell is
-    bit-identical to _evaluate's: a NaN half trace, as in every cell of a row
+    """_evaluate for one gamma0 over a float64 array of omega, by its formula
+    in its operation order, with the amplification rate and the phase code
+    that classify derives from each half trace, as arrays (half_trace, c,
+    code).  Two kinds of cell take _evaluate's half trace, so each cell is
+    bit-identical to classify's: a NaN half trace, as in every cell of a row
     whose half step overflows, and one within the row's noise bound of +-1."""
     tau = math.pi / omega_axis
     with np.errstate(all="ignore"):  # overflow to inf is expected, as in floats
@@ -86,6 +87,9 @@ def _evaluate_row(J, gamma0, mu, omega_axis):
             half_trace = np.full_like(tau, math.nan)
         noise = _trace_noise_row(J, gamma0, mu, tau)
         hard = ~(np.abs(np.abs(half_trace) - 1.0) > noise)  # NaN is hard too
+        for j in np.flatnonzero(hard).tolist():
+            omega = float(omega_axis[j])  # handed over through classify's binding
+            half_trace[j] = floquet._evaluate(J, gamma0, mu, omega)
         h = np.abs(half_trace)
         big = h + np.sqrt(h * h - 1.0)
         # fmin drops the NaN of inf/inf where big overflows
@@ -94,9 +98,6 @@ def _evaluate_row(J, gamma0, mu, omega_axis):
         )
     code = np.where(h - 1.0 <= DEFAULT_TOL, EXCEPTIONAL_CODE, BROKEN_CODE)
     code[h <= 1.0] = UNBROKEN_CODE
-    for j in np.flatnonzero(hard).tolist():
-        omega = float(omega_axis[j])  # handed over through classify's binding
-        half_trace[j], c[j], code[j] = floquet._evaluate(J, gamma0, mu, omega)
     return half_trace, c, code
 
 
@@ -284,11 +285,13 @@ def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
     once lo and hi are adjacent floats, so a tol below their spacing still
     ends the search.
 
-    Each step interpolates |h| - 1 - DEFAULT_TOL between the bracket ends
-    (regula falsi), truncates toward the midpoint and projects into
+    Each step interpolates y = |h| - 1 - DEFAULT_TOL between the bracket
+    ends (regula falsi), truncates toward the midpoint and projects into
     bisection's minmax radius, with k1 = 0.2 / (hi - lo), k2 = 2 and n0 = 1;
-    the phase code alone decides which end moves.  So a scan takes at most
-    two evaluations more than bisection, and fewer where the half trace is
+    the sign of y alone decides which end moves.  y > 0 is classify's Broken
+    for any h that is not NaN, as a rounded difference of two doubles is
+    positive exactly where the first is larger.  So a scan takes at most two
+    evaluations more than bisection, and fewer where the half trace is
     smooth across the bracket.
     """
     lo, hi = gamma_hint
@@ -299,14 +302,12 @@ def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
     check_drive(hi, mu, omega, J)
     if not tol > 0:
         raise ValueError(f"scan tolerance must be positive, got {tol}")
-    h, _, code = _evaluate(J, lo, mu, omega)
-    if code == BROKEN_CODE:
+    y_lo = abs(_evaluate(J, lo, mu, omega)) - 1.0 - DEFAULT_TOL
+    if y_lo > 0.0:
         raise BracketError(f"lower bracket gamma0={lo} already classifies Broken")
-    y_lo = abs(h) - 1.0 - DEFAULT_TOL
-    h, _, code = _evaluate(J, hi, mu, omega)
-    if code != BROKEN_CODE:
+    y_hi = abs(_evaluate(J, hi, mu, omega)) - 1.0 - DEFAULT_TOL
+    if not y_hi > 0.0:
         raise BracketError(f"upper bracket gamma0={hi} does not classify Broken")
-    y_hi = abs(h) - 1.0 - DEFAULT_TOL
     k1 = 0.2 / (hi - lo)
     # eps 2^(n_max - j) with eps = tol / 2, the width bisection's worst case
     # allows after step j; from logarithms, as (hi - lo) / tol overflows for a
@@ -319,7 +320,7 @@ def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
             break
         gamma0 = mid
         if math.isfinite(y_hi - y_lo):
-            # y_lo <= 0 < y_hi, as the phase codes say, so falsi lies in [lo, hi]
+            # y_lo <= 0 < y_hi, so falsi lies in [lo, hi]
             falsi = lo + (hi - lo) * (y_lo / (y_lo - y_hi))
             toward = math.copysign(1.0, mid - falsi)
             delta = k1 * (hi - lo) ** 2
@@ -330,9 +331,8 @@ def threshold_scan(mu, J, omega, gamma_hint, tol=1e-6) -> float:
                 gamma0 = mid - toward * r
             if not lo < gamma0 < hi:
                 gamma0 = mid
-        h, _, code = _evaluate(J, gamma0, mu, omega)
-        y = abs(h) - 1.0 - DEFAULT_TOL
-        if code == BROKEN_CODE:
+        y = abs(_evaluate(J, gamma0, mu, omega)) - 1.0 - DEFAULT_TOL
+        if y > 0.0:
             hi, y_hi = gamma0, y
         else:
             lo, y_lo = gamma0, y

@@ -92,6 +92,35 @@ def test_field_components_unit_determinant_identity():
         assert abs(value - 1.0) <= 1e-10 * scale
 
 
+def test_beyond_double_range_gives_inf_or_names_the_drive():
+    # h overflows although each half step is finite: the trace identity
+    # gives the kernel's -inf, not the NaN of inf - inf
+    spec = DrivingSpec(gamma0=10.0, mu=-1.0, omega=0.05)
+    h = classify(spec).half_trace
+    assert h == -math.inf
+    assert cos_2eps_tau(spec) == h
+    f = field_components(spec)
+    assert (f.ax, f.ay, f.az, f.cos2eps) == (math.inf, -math.inf, 0.0, h)
+    assert mu_minus1_unbroken(spec) is False
+    # a half step's cosh overflows: each function refuses as the kernel does,
+    # naming the drive
+    for mu in (0.0, -1.0):
+        spec = DrivingSpec(gamma0=10.0, mu=mu, omega=0.04)
+        with pytest.raises(ValueError) as refusal:
+            classify(spec)
+        message = str(refusal.value)
+        assert message.startswith("a half step leaves double range at gamma0=10.0")
+        calls = [cos_2eps_tau, field_components]
+        if mu == 0.0:
+            calls.append(lambda spec: cos_2eps_tau_mu0(spec.gamma0, spec.omega))
+        else:
+            calls.append(mu_minus1_unbroken)
+        for call in calls:
+            with pytest.raises(ValueError) as refusal:
+                call(spec)
+            assert str(refusal.value) == message
+
+
 def test_high_freq_threshold_values():
     assert high_freq_threshold(1.0, 1.0) == 1.0
     assert high_freq_threshold(0.0, 1.0) == 2.0

@@ -412,7 +412,7 @@ def test_trace_noise_bounds_the_double_precision_error(monkeypatch):
             continue
         m = monodromy(DrivingSpec(gamma0, mu, omega))
         entries = (m[0, 0] + m[1, 1]).real / 2.0
-        kernel = floquet._evaluate(1.0, gamma0, mu, omega)[0]
+        kernel = floquet._evaluate(1.0, gamma0, mu, omega)
         exact = precise_half_trace(1.0, gamma0, mu, omega, noise / u)
         assert abs(kernel - exact) <= noise, (gamma0, mu, omega)
         assert abs(entries - exact) <= noise, (gamma0, mu, omega)

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import matrix_scale, random_specs
 
-from ptfloquet import DrivingSpec, monodromy, stepped_propagator
+from ptfloquet import DrivingSpec, monodromy, oracle, stepped_propagator
+from ptfloquet.errors import ConsistencyError
 
 
 def test_single_step_per_half_is_the_monodromy():
@@ -60,3 +61,20 @@ def test_half_step_order_matters_but_trace_does_not():
 def test_rejects_bad_step_count():
     with pytest.raises(ValueError):
         stepped_propagator(DrivingSpec(0.5, 0.0, 2.0), 0)
+
+
+def test_sub_step_structure_is_checked(monkeypatch):
+    # a sub-step with a real off-diagonal part breaks the [[real, imag],
+    # [imag, real]] structure the loop relies on; the second half's is skewed,
+    # so the error must name its gamma, mu gamma0 = 0.25
+    exact = oracle.expm_traceless
+
+    def skewed(r, t):
+        step = exact(r, t)
+        if r[2] == 0.25j:
+            step[0, 1] += 1e-3
+        return step
+
+    monkeypatch.setattr(oracle, "expm_traceless", skewed)
+    with pytest.raises(ConsistencyError, match=r"sub-step of gamma=0\.25 is not"):
+        stepped_propagator(DrivingSpec(gamma0=0.5, mu=0.5, omega=2.0), 10)

@@ -19,7 +19,9 @@ from ptfloquet import (
 )
 from ptfloquet import floquet, precise, sweep
 from ptfloquet.errors import ConsistencyError
-from ptfloquet.floquet import BROKEN_CODE, DEFAULT_TOL, UNBROKEN_CODE, trace_noise
+from ptfloquet.floquet import (
+    BROKEN_CODE, DEFAULT_TOL, UNBROKEN_CODE, _phase_code, trace_noise,
+)
 from ptfloquet.sweep import _trace_noise_row, iter_rows
 
 
@@ -447,7 +449,7 @@ def _bisect_threshold(mu, omega, lo, hi, tol):
         if mid == lo or mid == hi:
             break
         calls += 1
-        if floquet._evaluate(1.0, mid, mu, omega)[2] == BROKEN_CODE:
+        if _phase_code(floquet._evaluate(1.0, mid, mu, omega)) == BROKEN_CODE:
             hi = mid
         else:
             lo = mid
@@ -467,7 +469,7 @@ def _scan_brackets():
         mu, omega = rng.uniform(-0.95, 0.95), 10 ** rng.uniform(np.log10(0.3), np.log10(6))
         for k in range(300):
             lo, hi = 0.02 * k, 0.02 * (k + 1)
-            if floquet._evaluate(1.0, hi, mu, omega)[2] == BROKEN_CODE:
+            if _phase_code(floquet._evaluate(1.0, hi, mu, omega)) == BROKEN_CODE:
                 brackets.append(("coarse", mu, omega, (lo, hi)))
                 break
     return brackets
@@ -481,9 +483,9 @@ def test_threshold_scan_needs_few_evaluations(monkeypatch):
     calls = []
 
     def counted(J, gamma0, mu, omega):
-        result = floquet._evaluate(J, gamma0, mu, omega)
-        calls.append((gamma0, result[2]))
-        return result
+        h = floquet._evaluate(J, gamma0, mu, omega)
+        calls.append((gamma0, _phase_code(h)))
+        return h
 
     monkeypatch.setattr(sweep, "_evaluate", counted)
     for kind, mu, omega, (lo, hi) in _scan_brackets():
