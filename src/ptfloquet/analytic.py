@@ -18,6 +18,7 @@ from .model import DrivingSpec
 from .pauli import sin_over_r
 
 _IMAG_RESIDUE_BOUND = 1e-10
+_RANGE_ERROR = "a half step leaves double range at gamma0={!r}, mu={!r}, omega={!r}, J={!r}"
 
 
 @dataclass(frozen=True)
@@ -46,35 +47,39 @@ class BoundaryCurve:
     points: tuple
 
 
-def _half_step(J, gamma, tau):
-    """A half step's complex pair (cos(r tau), sin(r tau)/r) at the principal
-    r = sqrt(J^2 - gamma^2)."""
-    r = cmath.sqrt(complex(J * J - gamma * gamma))
-    return cmath.cos(r * tau), sin_over_r(r, tau)
-
-
-def _range_error(gamma0, mu, omega, J):
-    return ValueError(
-        f"a half step leaves double range at gamma0={gamma0!r}, "
-        f"mu={mu!r}, omega={omega!r}, J={J!r}"
-    )
-
-
-def _beyond_range(values, drive, values_of, c1, s1, *rest):
-    """values = values_of(c1, s1, *rest), real values each linear in the first
-    half step's pair, with each NaN, as from inf - inf beyond double range,
-    taken once more at c1 and s1 times 2^-e, exact, and scaled back, so that
-    it comes out +-inf.  One still NaN raises the ValueError of drive =
-    (gamma0, mu, omega, J)."""
-    e = math.frexp(max(abs(c1.real), abs(c1.imag), abs(s1.real), abs(s1.imag)))[1]
-    c1, s1 = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (c1, s1))
-    values = [
-        # 2^e in two exact factors, so that an overflow gives +-inf
-        w * 2.0 ** (e // 2) * 2.0 ** (e - e // 2) if math.isnan(v) else v
-        for v, w in zip(values, values_of(c1, s1, *rest))
-    ]
+def _values(values_of, gamma0, mu, omega, J, hermitian=False):
+    """values_of(c1, s1, c2, s2, J, gamma0, mu), real values each linear in
+    (c1, s1), from the half steps' complex pairs (cos(r tau), sin(r tau)/r)
+    at tau = pi/omega and the principal r = sqrt(J^2 - gamma^2), for gamma =
+    gamma0 and then mu gamma0; hermitian takes the second as the real pair
+    (cos(J tau), sin(J tau)) of mu = 0.  Each NaN value, as from inf - inf
+    beyond double range, is taken once more at c1 and s1 times 2^-e, exact,
+    and scaled back, so that it comes out +-inf.  A half step that leaves
+    double range, or a value still NaN, raises a ValueError naming the drive.
+    """
+    tau = math.pi / omega
+    try:  # each half step inline: a call per half step costs cos_2eps_tau 1.1x
+        r = cmath.sqrt(complex(J * J - gamma0 * gamma0))
+        c1, s1 = cmath.cos(r * tau), sin_over_r(r, tau)
+        if hermitian:
+            c2, s2 = math.cos(J * tau), math.sin(J * tau)
+        else:
+            gamma = mu * gamma0
+            r = cmath.sqrt(complex(J * J - gamma * gamma))
+            c2, s2 = cmath.cos(r * tau), sin_over_r(r, tau)
+    except (OverflowError, ValueError):  # cosh or sinh overflows, or r tau is inf
+        raise ValueError(_RANGE_ERROR.format(gamma0, mu, omega, J)) from None
+    values = values_of(c1, s1, c2, s2, J, gamma0, mu)
     if any(map(math.isnan, values)):
-        raise _range_error(*drive)
+        e = math.frexp(max(abs(c1.real), abs(c1.imag), abs(s1.real), abs(s1.imag)))[1]
+        c1, s1 = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (c1, s1))
+        values = [
+            # 2^e in two exact factors, so that an overflow gives +-inf
+            w * 2.0 ** (e // 2) * 2.0 ** (e - e // 2) if math.isnan(v) else v
+            for v, w in zip(values, values_of(c1, s1, c2, s2, J, gamma0, mu))
+        ]
+        if any(map(math.isnan, values)):
+            raise ValueError(_RANGE_ERROR.format(gamma0, mu, omega, J))
     return values
 
 
@@ -93,41 +98,20 @@ def cos_2eps_tau(spec: DrivingSpec) -> float:
 
     Real for every drive; values outside [-1, 1] mean broken PT symmetry.
     """
-    tau, J, g0, mu = spec.tau, spec.J, spec.gamma0, spec.mu
-    try:
-        c1, s1 = _half_step(J, g0, tau)
-        c2, s2 = _half_step(J, mu * g0, tau)
-    except (OverflowError, ValueError):  # cosh overflows, or r tau is infinite
-        raise _range_error(g0, mu, spec.omega, J) from None
-    coeff = J * J - mu * g0 * g0
-    values = _trace_identity(c1, s1, c2, s2, coeff)
-    if math.isnan(values[0]):
-        drive = (g0, mu, spec.omega, J)
-        values = _beyond_range(values, drive, _trace_identity, c1, s1, c2, s2, coeff)
-    return values[0]
+    return _values(_trace_identity, spec.gamma0, spec.mu, spec.omega, spec.J)[0]
 
 
-def _trace_identity(c1, s1, c2, s2, coeff):
-    return (_real_part(c2 * c1 - coeff * s2 * s1, "cos_2eps_tau"),)
+def _trace_identity(c1, s1, c2, s2, J, g0, mu):
+    return (_real_part(c2 * c1 - (J * J - mu * g0 * g0) * s2 * s1, "cos_2eps_tau"),)
 
 
 def cos_2eps_tau_mu0(gamma0, omega, J=1.0) -> float:
     """Half-Hermitian specialization (mu = 0, so r2 = J):
     cos(r1 tau) cos(J tau) - (J/r1) sin(r1 tau) sin(J tau)."""
-    tau = math.pi / omega
-    try:
-        c1, s1 = _half_step(J, gamma0, tau)
-        c2, s2 = math.cos(J * tau), math.sin(J * tau)
-    except (OverflowError, ValueError):  # as in cos_2eps_tau
-        raise _range_error(gamma0, 0.0, omega, J) from None
-    values = _mu0_identity(c1, s1, c2, s2, J)
-    if math.isnan(values[0]):
-        drive = (gamma0, 0.0, omega, J)
-        values = _beyond_range(values, drive, _mu0_identity, c1, s1, c2, s2, J)
-    return values[0]
+    return _values(_mu0_identity, gamma0, 0.0, omega, J, hermitian=True)[0]
 
 
-def _mu0_identity(c1, s1, c2, s2, J):
+def _mu0_identity(c1, s1, c2, s2, J, g0, mu):
     return (_real_part(c1 * c2 - J * s1 * s2, "cos_2eps_tau_mu0"),)
 
 
@@ -137,17 +121,7 @@ def field_components(spec: DrivingSpec) -> FieldComponents:
     ay vanishes for the static drive (mu = 1) and az vanishes for exact
     gain/loss reversal (mu = -1).
     """
-    tau, J, g0, mu = spec.tau, spec.J, spec.gamma0, spec.mu
-    try:
-        c1, s1 = _half_step(J, g0, tau)
-        c2, s2 = _half_step(J, mu * g0, tau)
-    except (OverflowError, ValueError):  # as in cos_2eps_tau
-        raise _range_error(g0, mu, spec.omega, J) from None
-    values = _field(c1, s1, c2, s2, J, g0, mu)
-    if any(map(math.isnan, values)):
-        drive = (g0, mu, spec.omega, J)
-        values = _beyond_range(values, drive, _field, c1, s1, c2, s2, J, g0, mu)
-    ax, ay, az = values
+    ax, ay, az = _values(_field, spec.gamma0, spec.mu, spec.omega, spec.J)
     return FieldComponents(ax=ax, ay=ay, az=az, cos2eps=cos_2eps_tau(spec))
 
 
@@ -213,11 +187,12 @@ def mu_minus1_unbroken(spec: DrivingSpec) -> bool:
     """
     if spec.mu != -1.0:
         raise ValueError(f"criterion applies only to mu = -1, got mu = {spec.mu}")
-    try:
-        s1 = _half_step(spec.J, spec.gamma0, spec.tau)[1]
-    except (OverflowError, ValueError):  # as in cos_2eps_tau
-        raise _range_error(spec.gamma0, spec.mu, spec.omega, spec.J) from None
-    return abs(s1) <= 1.0 / spec.J
+    # at mu = -1 the second half step equals the first
+    return _values(_unbroken, spec.gamma0, spec.mu, spec.omega, spec.J)[0]
+
+
+def _unbroken(c1, s1, c2, s2, J, g0, mu):
+    return (abs(s1) <= 1.0 / J,)
 
 
 def asymptotic_boundary(gamma, J=1.0) -> float:

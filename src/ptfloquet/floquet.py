@@ -9,11 +9,11 @@ and phase; its eigenvalues and quasienergy are computed when read.
 
 _evaluate is the scalar kernel of classify and threshold scans, in math
 alone: h = c1 c2 - (J^2 - mu gamma0^2) s1 s2.  Its row form, for one gamma0
-row of a grid, is sweep._evaluate_row, which hands a NaN half trace, or one
-within the rounding-noise bound of +-1, back to _evaluate.  _evaluate
-replaces a half trace within that bound by the extended-precision value from
-the precise module, so every verdict rests on a resolved trace.  A half
-trace beyond double range is +-inf; a half step beyond it raises
+row of a grid, is sweep._evaluate_row, which hands a half trace that is not
+finite, or one within the rounding-noise bound of +-1, back to _evaluate.
+_evaluate replaces a half trace within that bound by the extended-precision
+value from the precise module, so every verdict rests on a resolved trace.
+A half trace beyond double range is +-inf; a half step beyond it raises
 ValueError.  numpy is imported only by the functions that return or take a
 matrix (monodromy, quasienergy, ...), so classify runs without it.
 """
@@ -190,12 +190,13 @@ def _evaluate(J, gamma0, mu, omega):
     structurally 1, so callers derive them from it.
 
     h = c1 c2 - (J^2 - mu gamma0^2) s1 s2 from the half steps' (c, s): the
-    trace identity, free of the entries' cancelling (1 +- J tau)^2.  A NaN h
-    (inf - inf or 0 inf) is evaluated once more at c1 and s1 times 2^-e,
-    exact, and scaled back.  An h within trace_noise of +-1 is re-evaluated
-    in extended precision, unless that bound overflows even in units of u.
-    A half step whose cosh or sinh overflows or whose phase r tau is
-    infinite, or an h still NaN, raises ValueError.
+    trace identity, free of the entries' cancelling (1 +- J tau)^2.  An h that
+    is not finite (inf - inf or 0 inf, or s1 s2 overflowing where h need not)
+    is evaluated once more at c1 and s1 times 2^-e, exact, and scaled back.
+    An h within trace_noise of +-1 is re-evaluated in extended precision,
+    unless that bound overflows even in units of u.  A half step whose cosh
+    or sinh overflows or whose phase r tau is infinite, or an h still NaN,
+    raises ValueError.
     """
     tau = math.pi / omega
     try:
@@ -204,7 +205,7 @@ def _evaluate(J, gamma0, mu, omega):
         c1 = s1 = c2 = s2 = math.nan
     k = J * J - mu * gamma0 * gamma0
     half_trace = c1 * c2 - k * (s1 * s2)
-    if math.isnan(half_trace):
+    if not math.isfinite(half_trace):
         e = math.frexp(max(abs(c1), abs(s1)))[1]
         c1, s1 = math.ldexp(c1, -e), math.ldexp(s1, -e)
         # 2^e in two exact factors: ldexp raises where the result overflows

@@ -7,8 +7,8 @@ threshold by ITP steps on its half trace, which take at most two evaluations
 more than bisection.  The row kernel evaluates the scalar one's half-trace
 formula in the same operation order (numpy for the correctly rounded
 operations, math for every transcendental, element by element) and hands it
-only the cells whose half trace is NaN or within its noise bound of +-1, so
-a grid cell and a classify call on the same drive agree bit for bit
+only the cells whose half trace is not finite or within its noise bound of
++-1, so a grid cell and a classify call on the same drive agree bit for bit
 (test_sweep_matches_pointwise_classify).
 """
 
@@ -74,9 +74,10 @@ def _evaluate_row(J, gamma0, mu, omega_axis):
     """_evaluate for one gamma0 over a float64 array of omega, by its formula
     in its operation order, with the amplification rate and the phase code
     that classify derives from each half trace, as arrays (half_trace, c,
-    code).  Two kinds of cell take _evaluate's half trace, so each cell is
+    code).  Three kinds of cell take _evaluate's half trace, so each cell is
     bit-identical to classify's: a NaN half trace, as in every cell of a row
-    whose half step overflows, and one within the row's noise bound of +-1."""
+    whose half step overflows, an infinite one, which _evaluate may find
+    finite, and one within the row's noise bound of +-1."""
     tau = math.pi / omega_axis
     with np.errstate(all="ignore"):  # overflow to inf is expected, as in floats
         try:
@@ -87,6 +88,7 @@ def _evaluate_row(J, gamma0, mu, omega_axis):
             half_trace = np.full_like(tau, math.nan)
         noise = _trace_noise_row(J, gamma0, mu, tau)
         hard = ~(np.abs(np.abs(half_trace) - 1.0) > noise)  # NaN is hard too
+        hard |= np.isinf(half_trace)
         for j in np.flatnonzero(hard).tolist():
             omega = float(omega_axis[j])  # handed over through classify's binding
             half_trace[j] = floquet._evaluate(J, gamma0, mu, omega)

@@ -67,5 +67,25 @@ def random_specs(
     return specs
 
 
+def exact_half_trace(mpmath, spec, digits=150):
+    """The half trace of spec's float inputs in mpmath, an mpf at the given
+    digits."""
+    with mpmath.workdps(digits):
+        J, g0, mu, omega = (
+            mpmath.mpf(v) for v in (spec.J, spec.gamma0, spec.mu, spec.omega)
+        )
+        tau = mpmath.pi / omega
+
+        def half_step(gamma):
+            r = mpmath.sqrt(mpmath.mpc(J * J - gamma * gamma))
+            if r == 0:
+                return mpmath.mpf(1), tau
+            return mpmath.cos(r * tau), mpmath.sin(r * tau) / r
+
+        c1, s1 = half_step(g0)
+        c2, s2 = half_step(mu * g0)
+        return +mpmath.re(c2 * c1 - (J * J - mu * g0 * g0) * s2 * s1)
+
+
 def matrix_scale(m):
     return max(1.0, float(np.max(np.abs(m))))

@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import matrix_scale, random_specs
+from conftest import (
+    exact_half_trace, growth_exponent, log_uniform, matrix_scale, random_specs,
+)
 
 from ptfloquet import (
     DrivingSpec,
@@ -429,3 +431,67 @@ def test_kernel_half_trace_matches_the_monodromy_entries():
         m00, _, _, m11 = floquet._monodromy_entries(J, gamma0, mu, omega)
         noise = trace_noise(J, gamma0, mu, omega)
         assert abs(classify(spec).half_trace - 0.5 * (m00 + m11)) <= noise, spec
+
+
+# s1 s2 overflows at these drives while the exact half trace is finite, near
+# the top of double range; a kernel that keeps that overflow gives +-inf,
+# three times here with the wrong sign
+FINITE_PAST_S1_S2 = [
+    (0.3924229484206359, 0.0, 0.0017366561848215986, 0.018191797512172748),
+    (0.08258394349416484, 0.0, 0.00036649424036954125, 0.0011519697273297057),
+    (0.003785809367856753, -1.0, 2.8676129855453685e-05, 0.001989187020721683),
+    (0.009473005241672276, 0.0, 4.072080692070238e-05, 0.0026206377105733843),
+    (0.014434226584213904, 1.0, 0.0001259165800488632, 0.0024583452660099144),
+    (0.08019006102238194, 0.30951609828519966, 0.00046293518460160493, 0.0035417775990038264),
+]
+
+
+def _exact(mpmath, gamma0, mu, omega, J):
+    """The exact half trace at 40 digits more than the growth exp(G) of its
+    two terms cancels."""
+    digits = 40 + int(growth_exponent(J, gamma0, mu, omega) / math.log(10.0))
+    return exact_half_trace(mpmath, DrivingSpec(gamma0, mu, omega, J=J), digits)
+
+
+def test_classify_matches_the_exact_half_trace_across_decades_of_J():
+    # J log-uniform over six decades and G up to twice double range: a small
+    # J makes s = sinh(q tau)/q large while each q tau stays below cosh's
+    # overflow, so s1 s2 may overflow where h does not.  The reference is
+    # precise.half_trace where trace_noise / u is finite, else mpmath, and an
+    # infinite h must be the exact value rounded past 2^1024
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    u = 2.0**-53
+    drives = list(FINITE_PAST_S1_S2)
+    while len(drives) < 2000:
+        J = float(log_uniform(rng, 1e-3, 1e3))
+        gamma0 = J * float(log_uniform(rng, 1e-2, 1e2))
+        omega = J * float(log_uniform(rng, 1e-2, 1e2))
+        mu = float(rng.choice([0.0, 1.0, -1.0, rng.uniform(-1.0, 1.0)]))
+        # a half step whose cosh overflows is refused by name, tested apart
+        if max(growth_exponent(J, g, 0.0, omega) for g in (gamma0, mu * gamma0)) <= 700.0:
+            drives.append((gamma0, mu, omega, J))
+    for drive in drives:
+        gamma0, mu, omega, J = drive
+        h = classify(DrivingSpec(gamma0, mu, omega, J=J)).half_trace
+        noise = trace_noise(J, gamma0, mu, omega)
+        if math.isinf(h):
+            exact = _exact(mpmath, gamma0, mu, omega, J)
+            assert abs(exact) >= mpmath.mpf(2) ** 1024 and (exact > 0) == (h > 0), drive
+        elif noise / u < math.inf:
+            exact = precise_half_trace(J, gamma0, mu, omega, noise / u)
+            assert abs(h - exact) <= noise, drive
+            if abs(abs(exact) - 1.0 - DEFAULT_TOL) > noise:
+                assert _phase_code(h) == _phase_code(exact), drive
+        elif abs(h) > 2.0:  # G > 700; a finite h next to +-1 stays unresolved
+            exact = _exact(mpmath, gamma0, mu, omega, J)
+            assert abs(h - exact) <= 1e-9 * abs(exact), drive
+    # around the first drive every grid cell takes the scalar kernel's value
+    gamma0, mu, omega, J = FINITE_PAST_S1_S2[0]
+    grid = sweep_grid(mu, J, (0.9999 * gamma0, gamma0, 5), (omega, 1.002 * omega, 41))
+    for i, g in enumerate(grid.gamma_axis.tolist()):
+        for j, w in enumerate(grid.omega_axis.tolist()):
+            h = grid.trace_half[i, j]
+            exact = _exact(mpmath, g, mu, w, J)
+            assert h == classify(DrivingSpec(g, mu, w, J=J)).half_trace, (g, w)
+            assert abs(h - exact) <= 1e-9 * abs(exact), (g, w)

@@ -2,10 +2,12 @@
 (and extended precision without decimal), and every public name resolves,
 the numpy-backed ones on first use."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,42 @@ def test_every_public_name_resolves():
     for name in ("stepped_constant", "stepped_propagator"):
         assert namespace[name] is getattr(oracle, name)
     assert cli.sweep_grid is sweep.sweep_grid
+
+
+def _package_imports(module):
+    """The package modules that module's source imports, by its AST; the
+    package namespace, which resolves names from every module, is
+    '__init__'."""
+    package = Path(ptfloquet.__file__).parent
+    found = set()
+    for node in ast.walk(ast.parse((package / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["ptfloquet" if node.level else "", node.module]))
+            paths = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (path.split(".") for path in paths):
+            if parts[0] == "ptfloquet":
+                name = parts[1] if len(parts) > 1 else "__init__"
+                found.add(name if (package / f"{name}.py").exists() else "__init__")
+    return found
+
+
+@pytest.mark.parametrize("module", ["analytic", "oracle"])
+def test_cross_checks_stay_independent_of_the_kernel(module):
+    # analytic and oracle are why the kernel's output can be trusted, so
+    # neither may reach floquet, sweep or precise, directly, through the
+    # package modules it imports, or through the package namespace
+    reached, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        imported = _package_imports(name)
+        assert not imported & {"floquet", "sweep", "precise", "__init__"}, name
+        todo += imported - reached
+    assert {"model", "pauli"} <= reached  # the walk follows the imports
 
 
 @pytest.mark.parametrize("module", [ptfloquet, pauli, cli])

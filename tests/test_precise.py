@@ -6,7 +6,7 @@ installed, exact rounding."""
 import numpy as np
 import pytest
 
-from conftest import random_specs
+from conftest import exact_half_trace, random_specs
 
 from ptfloquet import DrivingSpec, classify, cos_2eps_tau, mu0_sliver
 from ptfloquet.floquet import trace_noise
@@ -47,29 +47,11 @@ def sliver_drives(rng, count):
     ]
 
 
-def exact_half_trace(mpmath, spec, digits=150):
-    with mpmath.workdps(digits):
-        J, g0, mu, omega = (
-            mpmath.mpf(v) for v in (spec.J, spec.gamma0, spec.mu, spec.omega)
-        )
-        tau = mpmath.pi / omega
-
-        def half_step(gamma):
-            r = mpmath.sqrt(mpmath.mpc(J * J - gamma * gamma))
-            if r == 0:
-                return mpmath.mpf(1), tau
-            return mpmath.cos(r * tau), mpmath.sin(r * tau) / r
-
-        c1, s1 = half_step(g0)
-        c2, s2 = half_step(mu * g0)
-        return float(mpmath.re(c2 * c1 - (J * J - mu * g0 * g0) * s2 * s1))
-
-
 def test_correctly_rounded_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(62)
     for spec in random_specs(rng, 60, omega_lo=1e-2, max_growth=120.0, near_ep=40):
-        assert precise(spec) == exact_half_trace(mpmath, spec, 120), spec
+        assert precise(spec) == float(exact_half_trace(mpmath, spec, 120)), spec
 
 
 def test_halved_series_correctly_rounded_at_slivers_and_on_every_branch():
@@ -86,7 +68,7 @@ def test_halved_series_correctly_rounded_at_slivers_and_on_every_branch():
         DrivingSpec(3.0, -0.2, 0.4),  # hyperbolic, q tau >= 1
     ]
     for spec in centres + sliver_drives(np.random.default_rng(63), 40) + branches:
-        assert precise(spec) == exact_half_trace(mpmath, spec), spec
+        assert precise(spec) == float(exact_half_trace(mpmath, spec)), spec
 
 
 def test_more_guard_digits_change_no_result(monkeypatch):
